@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .data import DataError, Dataset, load_csv
-from .embed import Embedding, project
+from .embed import Embedding, anchor_intercept, project
 from .lda import LdaModel, fit_lda, predict_lda
 from .oracle import (nearest_mean_instance, oracle_embedding,
                      random_discrete_instance, sample_mixture,
@@ -85,9 +85,32 @@ def _load_model(path):
         model = json.load(fh)
     if model.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(f"{path}: unsupported model format")
-    emb = Embedding.from_dict(model["embedding"])
+    try:
+        emb = Embedding.from_dict(model["embedding"])
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     lda = LdaModel.from_dict(model["lda"])
+    _check_model(path, emb, lda)
     return model, emb, lda
+
+
+def _check_model(path, emb: Embedding, lda: LdaModel) -> None:
+    """Reject a model whose parts disagree, before any of them is used."""
+    arrays = {"W": emb.anchors, "b": emb.intercept, "lda means": lda.means,
+              "lda cov_pinv": lda.cov_pinv, "lda log_priors": lda.log_priors}
+    bad = [name for name, a in arrays.items() if not np.all(np.isfinite(a))]
+    if bad:
+        raise DataError(f"{path}: non-finite values in {', '.join(bad)}")
+    if lda.dim != emb.m or lda.cov_pinv.shape != (emb.m, emb.m):
+        raise DataError(f"{path}: LDA dimension {lda.dim} does not match "
+                        f"embedding width {emb.m}")
+    leaves = [tree.n_leaves for tree in emb.trees]
+    if leaves != list(emb.leaf_counts):
+        raise DataError(f"{path}: leaf_counts {list(emb.leaf_counts)} do not match "
+                        f"the trees' leaves {leaves}")
+    # JSON round-trips floats exactly, so the saved intercept is bit-equal
+    if not np.array_equal(emb.intercept, anchor_intercept(emb.anchors)):
+        raise DataError(f"{path}: intercept b is not -||W||^2 / 2")
 
 
 def _encode_features(model, rows, header, path):

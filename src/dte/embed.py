@@ -135,10 +135,14 @@ def dte_t(ds: Dataset, cfg: TreeConfig, t: int, seed):
     intercepts = [emb1.intercept]
     z_blocks = [z1]
     trees = list(emb1.trees)
-    entropy = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
-    # stateless per-tree streams keyed by tree index, so repeated fits with
-    # the same seed object stay identical
-    children = [np.random.SeedSequence(entropy=entropy, spawn_key=(s,))
+    if isinstance(seed, np.random.SeedSequence):
+        entropy, spawn_key = seed.entropy, tuple(seed.spawn_key)
+    else:
+        entropy, spawn_key = seed, ()
+    # stateless per-tree streams keyed by the seed's own spawn key plus the
+    # tree index, so repeated fits with the same seed object stay identical
+    # and sibling seeds from SeedSequence.spawn draw different resamples
+    children = [np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key + (s,))
                 for s in range(t - 1)]
     for s in range(1, t):
         sample = bootstrap(ds, children[s - 1])

@@ -1,11 +1,23 @@
 """CART-style classification tree with quantile-binned split search.
 
-Growth is greedy top-down. At each node the candidate thresholds for a
-feature are the boundaries of an equiprobable binning of that feature's
-values at the node (at most num_bins - 1 of them), and the accepted split
-is the one with the largest Gini impurity decrease, subject to both
-children holding at least min_leaf_size rows and the decrease being
-strictly positive. Routing is x[j] < threshold -> left, else right.
+Split rule: at each node the candidate thresholds for a feature are the
+boundaries of an equiprobable binning of that feature's values at the node
+(at most num_bins - 1 of them), and the accepted split is the one with the
+largest Gini impurity decrease, subject to both children holding at least
+min_leaf_size rows and the decrease being strictly positive. Ties go to the
+lowest threshold, then to the lowest feature index. Routing is
+x[j] < threshold -> left, else right. A node is a leaf when it holds fewer
+than 2 * min_leaf_size rows, is pure, or sits at max_depth.
+
+Growth is level by level on presorted columns. Each feature is sorted once,
+at the root, as in SLIQ (Mehta, Agrawal & Rissanen, 1996). Every node then
+owns one segment of each feature's sorted list, and all nodes of a depth are
+searched together in one vectorized pass over nodes x features x candidates,
+like LightGBM's node-parallel split search (Ke et al., 2017). A split
+partitions each list stably into the children's segments, so no node sorts
+again, and a child that is already a leaf leaves the lists. Leaves are
+numbered in pre-order once growth ends. The split rule and its arithmetic
+are those of a per-node search, so the trees are the same.
 """
 
 from __future__ import annotations
@@ -150,91 +162,228 @@ def fit_tree_arrays(X: np.ndarray, y: np.ndarray, n_classes: int,
     X = np.ascontiguousarray(X, dtype=np.float64)
     y0 = np.asarray(y, dtype=np.int64) - 1
     n, p = X.shape
-    leaves: list[LeafNode] = []
+    sizes = np.array([n])
+    counts = np.bincount(y0, minlength=n_classes)[None, :]
+    gini, searched = _search_runs(sizes, counts, 0, cfg)
+    if not searched[0] or p == 0:
+        leaf = LeafNode(0, counts[0], np.arange(n))
+        return DecisionTree(leaf, [leaf], p, n_classes, cfg)
+    col = _Columns(X, y0, n_classes)
 
-    def make_leaf(rows: np.ndarray) -> LeafNode:
-        hist = np.bincount(y0[rows], minlength=n_classes)
-        leaf = LeafNode(len(leaves), hist, np.sort(rows))
-        leaves.append(leaf)
-        return leaf
+    holder = SplitNode(-1, 0.0)  # sentinel; its .left becomes the root
+    targets = [(holder, "left")]  # where each node of the level attaches
+    leaves: list[LeafNode] = []   # creation order; leaf_id holds that index until renumbered
+    leaf_of_row = np.empty(n, dtype=np.int64)
+    # Row j of `lists` holds, for each node of the level, the node's rows in
+    # feature j's order, as positions in the presorted columns; node v owns
+    # entries starts[v] .. starts[v] + sizes[v] - 1 of every row.
+    lists = np.arange(p * n).reshape(p, n)
+    starts = np.zeros(1, dtype=np.int64)
+    depth = 0
+    while targets:
+        feat, thr, left_n, left_counts = _best_splits(col, lists, starts, sizes, counts, gini, cfg)
+        split = np.flatnonzero(feat >= 0)
+        stay = np.flatnonzero(feat < 0)
+        nodes = [SplitNode(int(feat[v]), float(thr[v])) for v in split]
+        for v, node in zip(split, nodes):
+            setattr(*targets[v], node)
 
-    root_holder = SplitNode(-1, 0.0)  # sentinel; its .left becomes the root
-    # stack entries: (rows, depth, parent, attr); right pushed first so the
-    # left subtree is fully grown first and leaf ids follow pre-order
-    stack = [(np.arange(n), 0, root_holder, "left")]
-    while stack:
-        rows, depth, parent, attr = stack.pop()
-        split = _choose_split(X, y0, rows, n_classes, depth, cfg)
-        if split is None:
-            setattr(parent, attr, make_leaf(rows))
-        else:
-            feature, threshold, left_rows, right_rows = split
-            node = SplitNode(feature, threshold)
-            setattr(parent, attr, node)
-            stack.append((right_rows, depth + 1, node, "right"))
-            stack.append((left_rows, depth + 1, node, "left"))
+        # children: the lefts of the split nodes in node order, then the rights
+        width = lists.shape[1]
+        seg = feat[split] * width + starts[split]   # each split node's list on its feature
+        child_start = np.concatenate([seg, seg + left_n[split]])
+        child_sizes = np.concatenate([left_n[split], sizes[split] - left_n[split]])
+        child_counts = np.concatenate([left_counts[split], counts[split] - left_counts[split]])
+        child_gini, keep = _search_runs(child_sizes, child_counts, depth + 1, cfg)
+        child_targets = [(node, "left") for node in nodes] + [(node, "right") for node in nodes]
 
-    return DecisionTree(root_holder.left, leaves, p, n_classes, cfg)
+        # children that stop, and searched nodes that found no split, become leaves
+        drop = np.flatnonzero(~keep)
+        leaf_targets = [child_targets[c] for c in drop] + [targets[v] for v in stay]
+        leaf_counts = np.concatenate([child_counts[drop], counts[stay]])
+        for target, hist in zip(leaf_targets, leaf_counts):
+            leaf = LeafNode(len(leaves), hist, np.empty(0, dtype=np.int64))
+            setattr(*target, leaf)
+            leaves.append(leaf)
+        leaf_sizes = np.concatenate([child_sizes[drop], sizes[stay]])
+        leaf_of_row[col.rows(lists, np.concatenate([child_start[drop], starts[stay]]),
+                             leaf_sizes)] = np.repeat(
+            np.arange(len(leaves) - len(leaf_sizes), len(leaves)), leaf_sizes)
+
+        # stable partition of every row of `lists` into the kept children's entries
+        kept = np.flatnonzero(keep)
+        side = np.zeros(n, dtype=np.int8)  # 1: row goes to a kept left child, 2: kept right
+        side[col.rows(lists, child_start[kept], child_sizes[kept])] = np.repeat(
+            np.where(kept < len(split), 1, 2).astype(np.int8), child_sizes[kept])
+        flat = lists.ravel()
+        side_at = side[col.row_at[flat]]
+        lists = np.concatenate([np.compress(side_at == 1, flat).reshape(p, -1),
+                                np.compress(side_at == 2, flat).reshape(p, -1)], axis=1)
+        targets = [child_targets[c] for c in kept]
+        sizes, counts, gini = child_sizes[kept], child_counts[kept], child_gini[kept]
+        starts = np.cumsum(sizes) - sizes
+        depth += 1
+
+    return DecisionTree(holder.left, _number_leaves(holder.left, leaves, leaf_of_row),
+                        p, n_classes, cfg)
 
 
-def _choose_split(X, y0, rows, n_classes, depth, cfg):
-    n = rows.size
-    if n < 2 * cfg.min_leaf_size:
-        return None
+class _Columns:
+    """The training columns, each sorted once.
+
+    Position j * n + q names the q-th smallest row of feature j: `row_at`
+    gives that row, `val` its value, `key` the pair (j, value), so one
+    searchsorted places values of any feature, and `word` its class packed
+    as a digit in base n + 1, so one prefix sum counts several classes.
+    Ties may come in any order: the search reads values and counts only.
+    """
+
+    def __init__(self, X, y0, n_classes):
+        n, p = X.shape
+        XT = X.T.copy()
+        self.row_at = np.argsort(XT, axis=1).ravel()
+        self.key = np.empty(p * n, dtype=np.complex128)
+        self.key.real = np.repeat(np.arange(p), n)
+        self.key.imag = XT.ravel()[self.row_at + np.repeat(np.arange(p) * n, n)]
+        self.val = self.key.imag
+        self.n = n
+        self.base = n + 1
+        self.digits = 1          # classes per int64 word: n * base**(digits-1) < 2**63
+        while n * self.base ** self.digits < 2 ** 63 and self.digits < n_classes:
+            self.digits += 1
+        cls = np.arange(n_classes)
+        power = np.array([self.base ** d for d in range(self.digits)])[cls % self.digits]
+        self.word = [np.where(cls // self.digits == w, power, 0)[y0][self.row_at]
+                     for w in range(-(-n_classes // self.digits))]
+
+    def rows(self, lists, starts, lengths):
+        """Training rows at entries starts[i] .. starts[i] + lengths[i] - 1 of `lists`."""
+        ends = np.cumsum(lengths)
+        at = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lengths), lengths)
+        return self.row_at[lists.ravel()[at]]
+
+    def class_counts(self, lists, begin, end, n_classes):
+        """Class counts of entries begin[i] .. end[i] - 1 of `lists` (one row each)."""
+        p, width = lists.shape
+        prefix = np.zeros((p, width + 1), dtype=np.int64)
+        row = begin // width
+        b, e = begin + row, end + row    # positions in `prefix`, one column wider
+        out = np.empty((len(begin), n_classes), dtype=np.int64)
+        for w, word in enumerate(self.word):
+            np.cumsum(word[lists], axis=1, out=prefix[:, 1:])
+            packed = prefix.ravel()[e] - prefix.ravel()[b]
+            for c in range(w * self.digits, min(n_classes, (w + 1) * self.digits)):
+                out[:, c] = packed // self.base ** (c % self.digits) % self.base
+        return out
+
+
+def _search_runs(sizes, counts, depth, cfg):
+    """Gini impurity of each node, and whether its split search runs.
+
+    It does unless the node is too small to hold two leaves, is at the
+    depth cap, or is pure.
+    """
+    gini = 1.0 - ((counts / np.maximum(sizes, 1)[:, None]) ** 2).sum(axis=1)
+    runs = (sizes >= 2 * cfg.min_leaf_size) & (gini != 0.0)
     if cfg.max_depth is not None and depth >= cfg.max_depth:
-        return None
-    counts = np.bincount(y0[rows], minlength=n_classes)
-    parent_gini = 1.0 - float(((counts / n) ** 2).sum())
-    if parent_gini == 0.0:
-        return None
-
-    yr = y0[rows]
-    best_dec = 0.0
-    best = None
-    for j in range(X.shape[1]):
-        vals = X[rows, j]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        if sv[0] == sv[-1]:
-            continue
-        cands = _bin_boundaries(sv, cfg.num_bins)
-        if cands.size == 0:
-            continue
-        left_n = np.searchsorted(sv, cands, side="left")
-        ok = (left_n >= cfg.min_leaf_size) & (n - left_n >= cfg.min_leaf_size)
-        if not ok.any():
-            continue
-        cands, left_n = cands[ok], left_n[ok]
-
-        onehot = np.zeros((n, n_classes), dtype=np.int64)
-        onehot[np.arange(n), yr[order]] = 1
-        cum = np.cumsum(onehot, axis=0)
-        left_counts = cum[left_n - 1]
-        right_counts = counts - left_counts
-        ln = left_n.astype(np.float64)
-        rn = float(n) - ln
-        gini_l = 1.0 - ((left_counts / ln[:, None]) ** 2).sum(axis=1)
-        gini_r = 1.0 - ((right_counts / rn[:, None]) ** 2).sum(axis=1)
-        dec = parent_gini - (ln / n) * gini_l - (rn / n) * gini_r
-        i = int(np.argmax(dec))  # first max -> lowest threshold on ties
-        if dec[i] > best_dec:    # strict -> lowest feature index on ties
-            best_dec = float(dec[i])
-            sorted_rows = rows[order]
-            best = (j, float(cands[i]),
-                    sorted_rows[: left_n[i]], sorted_rows[left_n[i]:])
-    return best
+        runs[:] = False
+    return gini, runs
 
 
-def _bin_boundaries(sorted_vals: np.ndarray, num_bins: int) -> np.ndarray:
-    """Equiprobable-bin boundaries strictly inside the observed value range."""
-    n = sorted_vals.size
-    pos = np.arange(1, num_bins) * (n - 1) / num_bins
+def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
+    """Best split of every node of one level, searched together.
+
+    Returns per node the feature (-1 when no split has a positive Gini
+    decrease), the threshold, the left child's size and its class counts.
+    Candidates and scores use the same arithmetic as a per-node search over
+    the node's sorted values sv: boundaries sv[lo] (1 - f) + sv[lo + 1] f of
+    an equiprobable binning at ranks lo + f = i (n - 1) / B, kept when
+    strictly inside (sv[0], sv[-1]) and when both sides hold min_leaf_size
+    rows. The largest decrease wins; ties go to the lowest feature, then to
+    the lowest threshold.
+    """
+    m, (p, width) = len(sizes), lists.shape
+    bins, k, mls = cfg.num_bins, counts.shape[1], cfg.min_leaf_size
+    flat = lists.ravel()
+
+    pos = np.arange(1, bins) * (sizes - 1)[:, None] / bins   # (m, B-1)
     lo = pos.astype(np.int64)
-    frac = pos - lo
-    hi = np.minimum(lo + 1, n - 1)
-    edges = sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac
-    edges = np.unique(edges)
-    return edges[(edges > sorted_vals[0]) & (edges < sorted_vals[-1])]
+    frac = (pos - lo)[:, None, :]
+    seg = starts[:, None] + np.arange(p) * width              # (m, p): node v's entries on feature j
+    at = seg[:, :, None] + lo[:, None, :]                     # lo <= n - 2 as i < B
+    below, above = col.val[flat[at]], col.val[flat[at + 1]]
+    cand = below * (1.0 - frac) + above * frac
+    cand.sort(axis=2)
+    # below sv[-1]; above sv[0] follows from left_n >= min_leaf_size >= 1
+    idx = np.flatnonzero(cand < col.val[flat[seg + (sizes - 1)[:, None]]][:, :, None])
+
+    # left_n: rows of the node with a value below the candidate. The checks
+    # read the node's values at the paired rank, so they hold for a sorted
+    # candidate paired with a neighbour's rank too.
+    node, j = idx // (p * (bins - 1)), idx // (bins - 1) % p
+    c, a, b, at = cand.ravel()[idx], below.ravel()[idx], above.ravel()[idx], at.ravel()[idx]
+    begin = j * width + starts[node]
+    left_n = at - begin + 1                                   # a < c <= b
+    hard = np.flatnonzero((c <= a) | (c > b))
+    if hard.size:
+        # c == a opening a's run: left_n = lo; otherwise search the node
+        opens = (c[hard] == a[hard]) & (col.val[flat[at[hard] - 1]] < a[hard])
+        left_n[hard[opens]] -= 1
+        hard = hard[~opens]
+    if hard.size:
+        probe = np.empty(hard.size, dtype=np.complex128)
+        probe.real, probe.imag = j[hard], c[hard]
+        in_column = np.searchsorted(col.key, probe)           # j * n + rows of the column below c
+        # (j, node, column position) sorts the level's entries; find c's place among them
+        level = lists + (np.arange(p)[:, None] * (m - 1) + np.repeat(np.arange(m), sizes)) * col.n
+        left_n[hard] = np.searchsorted(level.ravel(), in_column + (j[hard] * (m - 1)
+                                                                  + node[hard]) * col.n) - begin[hard]
+    # keep candidates leaving min_leaf_size rows on both sides, and of those
+    # with equal left_n on one node and feature (equal scores) the lowest
+    ok = (left_n >= mls) & (sizes[node] - left_n >= mls)
+    ok[1:] &= (left_n[1:] != left_n[:-1]) | (begin[1:] != begin[:-1])
+    idx, node, c, left_n, begin = idx[ok], node[ok], c[ok], left_n[ok], begin[ok]
+
+    left_counts = col.class_counts(lists, begin, begin + left_n, k)
+    right_counts = counts[node] - left_counts
+    ln = left_n.astype(np.float64)
+    nn = sizes[node].astype(np.float64)
+    rn = nn - ln
+    gini_l = 1.0 - ((left_counts / ln[:, None]) ** 2).sum(axis=1)
+    gini_r = 1.0 - ((right_counts / rn[:, None]) ** 2).sum(axis=1)
+    dec = gini[node] - (ln / nn) * gini_l - (rn / nn) * gini_r
+
+    score = np.full((m, p * (bins - 1)), -np.inf)
+    score.ravel()[idx] = dec
+    best = score.argmax(axis=1)       # first maximum: lowest feature, then lowest threshold
+    wins = score[np.arange(m), best] > 0.0
+    pick = np.searchsorted(idx, best + np.arange(m) * p * (bins - 1))[wins]
+    feat = np.full(m, -1, dtype=np.int64)
+    feat[wins] = best[wins] // (bins - 1)
+    thr, chosen_n, chosen_counts = np.zeros(m), np.zeros(m, np.int64), np.zeros((m, k), np.int64)
+    thr[wins], chosen_n[wins], chosen_counts[wins] = c[pick], left_n[pick], left_counts[pick]
+    return feat, thr, chosen_n, chosen_counts
+
+
+def _number_leaves(root, leaves, leaf_of_row):
+    """Renumber leaves in pre-order and give each its sorted training rows."""
+    ordered = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, LeafNode):
+            ordered.append(node)
+        else:
+            stack += [node.right, node.left]
+    renumber = np.empty(len(leaves), dtype=np.int64)
+    for new_id, leaf in enumerate(ordered):
+        renumber[leaf.leaf_id] = new_id
+        leaf.leaf_id = new_id
+    rows = np.argsort(renumber[leaf_of_row], kind="stable")
+    bounds = np.cumsum([leaf.size for leaf in ordered])[:-1]
+    for leaf, chunk in zip(ordered, np.split(rows, bounds)):
+        leaf.indices = chunk
+    return ordered
 
 
 def predict_tree(tree: DecisionTree, X):

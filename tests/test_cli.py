@@ -108,6 +108,56 @@ class TestPredict:
         assert "green" in capsys.readouterr().err
 
 
+class TestModelValidation:
+    """Hand-edited models are rejected on load, with exit 2 and a reason."""
+
+    @staticmethod
+    def predict_with_edit(model_path, tmp_path, edit):
+        model = json.loads(model_path.read_text())
+        edit(model)
+        bad = tmp_path / "edited.json"
+        bad.write_text(json.dumps(model))
+        return run("predict", "--model", str(bad), "--data", IRIS,
+                   "--out", str(tmp_path / "p.csv"))
+
+    def test_lda_dimension_must_equal_embedding_width(self, iris_model, tmp_path, capsys):
+        def edit(model):
+            lda = model["lda"]
+            lda["means"] = [row[:-1] for row in lda["means"]]
+            lda["cov_pinv"] = [row[:-1] for row in lda["cov_pinv"][:-1]]
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        assert "LDA dimension" in capsys.readouterr().err
+
+    def test_leaf_counts_must_sum_to_anchor_count(self, iris_model, tmp_path, capsys):
+        def edit(model):
+            model["embedding"]["leaf_counts"][0] += 1
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        assert "leaf_counts" in capsys.readouterr().err
+
+    def test_leaf_counts_must_match_each_tree(self, tmp_path, capsys):
+        model_path = tmp_path / "m3.json"
+        assert run("train", "--data", IRIS, "--label", "species", "--trees", "3",
+                   "--out", str(model_path)) == 0
+
+        def edit(model):
+            counts = model["embedding"]["leaf_counts"]
+            counts[0], counts[1] = counts[0] + 1, counts[1] - 1
+        assert self.predict_with_edit(model_path, tmp_path, edit) == 2
+        assert "do not match the trees" in capsys.readouterr().err
+
+    def test_intercept_must_be_half_negative_squared_norm(self, iris_model, tmp_path, capsys):
+        def edit(model):
+            model["embedding"]["b"][0] = np.nextafter(model["embedding"]["b"][0], 0.0)
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        assert "intercept" in capsys.readouterr().err
+
+    def test_arrays_must_be_finite(self, iris_model, tmp_path, capsys):
+        def edit(model):
+            model["lda"]["cov_pinv"][0][0] = float("nan")
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        assert "non-finite values in lda cov_pinv" in capsys.readouterr().err
+
+
 class TestHeaderless:
     def test_train_and_predict_by_column_index(self, tmp_path):
         train = tmp_path / "train.csv"

@@ -104,6 +104,17 @@ class TestDteT:
         assert a.to_dict() == b.to_dict()
         assert a.to_dict() == dte_t(iris, TreeConfig(), 3, seed=17)[1].to_dict()
 
+    def test_spawned_sibling_seeds_draw_different_resamples(self, iris):
+        a, b = np.random.SeedSequence(7).spawn(2)
+        ea = dte_t(iris, TreeConfig(), 3, seed=a)[1]
+        eb = dte_t(iris, TreeConfig(), 3, seed=b)[1]
+        m1 = ea.leaf_counts[0]
+        assert np.array_equal(ea.anchors[:m1], eb.anchors[:m1])  # tree 1 sees the data itself
+        assert not np.array_equal(ea.anchors[m1:], eb.anchors[m1:])
+        # an empty spawn key derives the same streams as the plain integer seed
+        assert dte_t(iris, TreeConfig(), 3, seed=np.random.SeedSequence(7))[1].to_dict() \
+            == dte_t(iris, TreeConfig(), 3, seed=7)[1].to_dict()
+
     def test_rejects_nonpositive_t(self, iris):
         with pytest.raises(ValueError):
             dte_t(iris, TreeConfig(), 0, seed=0)
