@@ -87,9 +87,9 @@ def _load_model(path):
         raise DataError(f"{path}: unsupported model format")
     try:
         emb = Embedding.from_dict(model["embedding"])
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    lda = LdaModel.from_dict(model["lda"])
+        lda = LdaModel.from_dict(model["lda"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed model ({type(exc).__name__}: {exc})") from None
     _check_model(path, emb, lda)
     return model, emb, lda
 

@@ -16,8 +16,10 @@ searched together in one vectorized pass over nodes x features x candidates,
 like LightGBM's node-parallel split search (Ke et al., 2017). A split
 partitions each list stably into the children's segments, so no node sorts
 again, and a child that is already a leaf leaves the lists. Leaves are
-numbered in pre-order once growth ends. The split rule and its arithmetic
-are those of a per-node search, so the trees are the same.
+numbered in pre-order once growth ends. The candidates, scores and
+tie-breaks use the same floating-point arithmetic as a search over each
+node's own sorted values, so growing node by node gives the same trees;
+tests/test_tree_golden.py pins them.
 """
 
 from __future__ import annotations
@@ -235,7 +237,9 @@ class _Columns:
     gives that row, `val` its value, `key` the pair (j, value), so one
     searchsorted places values of any feature, and `word` its class packed
     as a digit in base n + 1, so one prefix sum counts several classes.
-    Ties may come in any order: the search reads values and counts only.
+    Equal values may come in any order: the search reads only values and
+    counts, so the tree does not depend on it, except that a zero threshold
+    drawn between -0.0 and 0.0 may take either sign.
     """
 
     def __init__(self, X, y0, n_classes):

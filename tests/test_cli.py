@@ -120,6 +120,12 @@ class TestModelValidation:
         return run("predict", "--model", str(bad), "--data", IRIS,
                    "--out", str(tmp_path / "p.csv"))
 
+    def test_missing_field_exits_2(self, iris_model, tmp_path, capsys):
+        def edit(model):
+            del model["lda"]["log_priors"]
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        assert "log_priors" in capsys.readouterr().err
+
     def test_lda_dimension_must_equal_embedding_width(self, iris_model, tmp_path, capsys):
         def edit(model):
             lda = model["lda"]

@@ -132,38 +132,70 @@ def _fit(name):
 
 
 PINS = {
-    'breast_cancer-bootstrap/1-2-None': ('c146e856a1d9ee28984048c0063437ef18fb614a1340c3a4ff70cfe53b2ea658', '2d725aaaccf2072d7921bb7ff307e3b30c869e65cc55f1c23839af24e62e875a'),  # 24 leaves
-    'breast_cancer-bootstrap/10-30-3': ('19f73bd89ec1984a58bce3f3444030809f0a3387ebcaa5b5045622b741b656af', 'dd8a6a60b806bef56a5215828f43d546f52d4fb255307d4bed43570d6471522b'),  # 7 leaves
-    'breast_cancer-bootstrap/10-30-None': ('b74c4aa69d8a54bd2d47794f031e8d398090293186267fcfee388a8882b56e16', 'b5257b963f3ad983229c415eb8ab597ad999e086dee0636a4d70777d0501af3d'),  # 13 leaves
-    'breast_cancer-bootstrap/2-7-None': ('4535368af13ee2f4ffcf0bec0b4672e868068f31a0b2ab9b320139300e225517', 'c75e797f6ba94ac1b7086c7a94499c34335c1eb30f7fe34e067d5c38796b9fa2'),  # 20 leaves
-    'breast_cancer/1-2-None': ('fbbc3d745d063fff84ba68ca3f8c8467f3ef3fd85cdabbbab66bbec8de693e7e', 'd7958dd129fa29de32ccce66c54ab31d08676581cd7ffd69fb77085e7086af65'),  # 53 leaves
-    'breast_cancer/10-30-3': ('949770785fb686d488dd6b7d3f5f21f3ea715ee698088ad631af5ead1fa709f9', '66c7f26069c98717839037e37278b8753cb09535705e6293423a46b69d5a51e4'),  # 7 leaves
-    'breast_cancer/10-30-None': ('b2b97676e765a9ff50565b153666912817213049c6760ac7c7bd30089edfc5e0', '14b89948099e3b0075addbdfa29cc606b44a5717616e2a9c3d77de4e811c3313'),  # 13 leaves
-    'breast_cancer/2-7-None': ('8b5814a4a2e10146ef8f892f824f52e0b01ded9013829c1123265c45015ec494', '15816d436d5c3a59b5b6634bfedada9582de166a6459a2b7558d20d2887c2ae9'),  # 27 leaves
-    'constant-column': ('96bfed6075dff291cccfde7bb2532c4866e28350488e565153b66d8e6cccf606', '65b952dbb79aa32a87e3132366b55075a1fb78d78ff9bdd703d9264e15156215'),  # 7 leaves
-    'deep-mixture': ('440db83f076fb218e3d520ff8065863e9b49024a1e999d00b33012020d01e0ee', 'e10c7d086763cfe6127712d04279c8e4fee38860760ea25e989da828c477e44a'),  # 522 leaves
-    'iris-bootstrap/1-2-None': ('916c27ac6c33c5a01f8fcda1967256d46e9ce75bff72583c9c24c720beff1812', '1ca72a8c3b6b21eac3c60f3f953db652f80263b040b191deeaa0fe69b38c9157'),  # 18 leaves
-    'iris-bootstrap/10-30-3': ('78dd37682de8d69a97dc612cc086f25cf3439e437128e85d867c1fdf23b36ebe', '4178adb63906859c2627ee3462a48dc176df6abc3770fcc608054623590728f4'),  # 5 leaves
-    'iris-bootstrap/10-30-None': ('7db506a5f11d4fd6fd11a634e89614bbad38ce865edfc85cd1375432c5a2a9e1', '4178adb63906859c2627ee3462a48dc176df6abc3770fcc608054623590728f4'),  # 5 leaves
-    'iris-bootstrap/2-7-None': ('df8b0e066aef9c3b0300d6048ff3fd39d58282007efba1228a965b11bfe104c3', 'e5779e632758e5890cc43d6b147d863306aee16e0f38cc5548f7e84d558b0cff'),  # 11 leaves
-    'iris/1-2-None': ('e8c3bf20dee733363444c2195b6b2ad5c17fd5f5618426d15aba1ce92c20b567', '439bd8f685fb7bf835f5271bde29d705f8db5b3a201693a6cf6865f24e71b2e2'),  # 22 leaves
-    'iris/10-30-3': ('9fe9899a6c714435c328664aacc35020a82a0f37ebe9a583605e5e5b3bec6dfc', 'a80ccbab94cbef0410fb7cebab23e109f0193c4de7884e101d44a6d0b22fcad1'),  # 5 leaves
-    'iris/10-30-None': ('79c31ffe295154eb54ea2b81b169dc430324fabefbba8579f16facc86e6ef304', 'aa93f9f9db0c3e04518f7c73cc57537d3294aac0aa3dd0a328197d4beb69e268'),  # 6 leaves
-    'iris/2-7-None': ('aaa755c8b098b17dc137a2605cdfae4e5c9dcf8f346801ac02fe5f82d63f8037', '51176b65149cda8aaa5ef477424bf27d4e6a80b8f42c466cbf82b7a761cd4d39'),  # 11 leaves
-    'many-classes': ('66a86fec692a336f551e2fe3fe56b7dde66249322bfff9c3de270d29f1f4b4e7', 'a6836983710442128d5e792199bb7264e8e2b1745eaafe1ad18a18980123c1ea'),  # 148 leaves
-    'max-depth-0': ('81ead4ae40792384eefcbc88a07323050045f7ea10eb6c89b1a5f2491ee57134', 'cfe9ef49abc35a06b2e2eea71e8b6a3f9b7874159db5c2b63e734cfee3cec739'),  # 1 leaves
-    'missing-class': ('33d735418f4004249f4ba75c8bf625d0eefaa56d220342ada6f0830b04c6aee0', '9cf20af6d34d3b8258839492a4ea7d3d4381dbeb8415d2f5b58aa8b68c35d38b'),  # 2 leaves
-    'one-row-class': ('129c1c65f9770ece8f1c831f0716fa78b64dfeac68107f68065d11e8c3ee39ed', '32f8e926d614e3b8131bc1fb1904f5c3faff603f22cc447f21f68e8c485514af'),  # 14 leaves
-    'shallow-separated': ('123a96b84fe6f343f8970216b14df73c30451fb5b0b74ff05e73d52d36f63946', '5a99bf204da7d0d0dad4fb9ae66007b89ed102e6cefc9e91c9a1d3a145a2d453'),  # 9 leaves
-    'tied-features': ('c4f9960b3b84399c28f5402d052eb32b0b0182c4b8ba5e8259c5ef1934df4f00', '65b952dbb79aa32a87e3132366b55075a1fb78d78ff9bdd703d9264e15156215'),  # 7 leaves
-    'wine-bootstrap/1-2-None': ('0b3bed6869d9752169d369e070e3ff9478251ff3306cc13e1e940851f571c524', 'a758cb5e874b20d36fe8eb1a56b5a70d8d517373ed03fbc5a09b33251510c3fb'),  # 13 leaves
-    'wine-bootstrap/10-30-3': ('d337227c8c857422c5c55b034f9397c7ecb178195cde117fa72a35d30250d2c3', '3315128360701365a2bdc4a74dd861ef3bd58cbfac0389d0c0f2838f79c41532'),  # 6 leaves
-    'wine-bootstrap/10-30-None': ('22d72d43fc64c335fb813af9453610a343e35eca7b2c6a9fa4fbb458c80ea445', '3315128360701365a2bdc4a74dd861ef3bd58cbfac0389d0c0f2838f79c41532'),  # 6 leaves
-    'wine-bootstrap/2-7-None': ('0f1b3bd4620ae1c27e0a82c076114064b51f5c2e133f24ee0bb0d6f9b2fccbf0', '5c347d4a6443d8b1cd0caa263362b4ad5db24067b0abd7919a81222f842282d5'),  # 14 leaves
-    'wine/1-2-None': ('0d71c07c2d08dcf0c95f232aabf6428d4d58afdcf40fde33be422007968ec235', 'cdcb33cd292a509c26b4d10f0d14984e2f1caeea12b331d29d16df3cb9d36816'),  # 19 leaves
-    'wine/10-30-3': ('438f8f3ee1382a71914273ee897a0544702c8494b92a8c43c07f480401bdfad8', '0e0dc40c59ef936047eabee20e7d4825e740fa25880ad069f9e6b98eb761ee15'),  # 6 leaves
-    'wine/10-30-None': ('a5fdce5798f816f3325b050a55f528fc7774080907a59ce9d392aed8a553eb64', '0e0dc40c59ef936047eabee20e7d4825e740fa25880ad069f9e6b98eb761ee15'),  # 6 leaves
-    'wine/2-7-None': ('c90b1a72ae7932f58c205196f99ac43329d4d732074e8b03063d5a2b0391d725', 'dca8edc2b4899ed39b3e18f7971a502f9e1dd5b40fb46344b96a602cf3fa6f88'),  # 13 leaves
+    "breast_cancer-bootstrap/1-2-None": ("c146e856a1d9ee28984048c0063437ef18fb614a1340c3a4ff70cfe53b2ea658",
+        "2d725aaaccf2072d7921bb7ff307e3b30c869e65cc55f1c23839af24e62e875a"),  # 24 leaves
+    "breast_cancer-bootstrap/10-30-3": ("19f73bd89ec1984a58bce3f3444030809f0a3387ebcaa5b5045622b741b656af",
+        "dd8a6a60b806bef56a5215828f43d546f52d4fb255307d4bed43570d6471522b"),  # 7 leaves
+    "breast_cancer-bootstrap/10-30-None": ("b74c4aa69d8a54bd2d47794f031e8d398090293186267fcfee388a8882b56e16",
+        "b5257b963f3ad983229c415eb8ab597ad999e086dee0636a4d70777d0501af3d"),  # 13 leaves
+    "breast_cancer-bootstrap/2-7-None": ("4535368af13ee2f4ffcf0bec0b4672e868068f31a0b2ab9b320139300e225517",
+        "c75e797f6ba94ac1b7086c7a94499c34335c1eb30f7fe34e067d5c38796b9fa2"),  # 20 leaves
+    "breast_cancer/1-2-None": ("fbbc3d745d063fff84ba68ca3f8c8467f3ef3fd85cdabbbab66bbec8de693e7e",
+        "d7958dd129fa29de32ccce66c54ab31d08676581cd7ffd69fb77085e7086af65"),  # 53 leaves
+    "breast_cancer/10-30-3": ("949770785fb686d488dd6b7d3f5f21f3ea715ee698088ad631af5ead1fa709f9",
+        "66c7f26069c98717839037e37278b8753cb09535705e6293423a46b69d5a51e4"),  # 7 leaves
+    "breast_cancer/10-30-None": ("b2b97676e765a9ff50565b153666912817213049c6760ac7c7bd30089edfc5e0",
+        "14b89948099e3b0075addbdfa29cc606b44a5717616e2a9c3d77de4e811c3313"),  # 13 leaves
+    "breast_cancer/2-7-None": ("8b5814a4a2e10146ef8f892f824f52e0b01ded9013829c1123265c45015ec494",
+        "15816d436d5c3a59b5b6634bfedada9582de166a6459a2b7558d20d2887c2ae9"),  # 27 leaves
+    "constant-column": ("96bfed6075dff291cccfde7bb2532c4866e28350488e565153b66d8e6cccf606",
+        "65b952dbb79aa32a87e3132366b55075a1fb78d78ff9bdd703d9264e15156215"),  # 7 leaves
+    "deep-mixture": ("440db83f076fb218e3d520ff8065863e9b49024a1e999d00b33012020d01e0ee",
+        "e10c7d086763cfe6127712d04279c8e4fee38860760ea25e989da828c477e44a"),  # 522 leaves
+    "iris-bootstrap/1-2-None": ("916c27ac6c33c5a01f8fcda1967256d46e9ce75bff72583c9c24c720beff1812",
+        "1ca72a8c3b6b21eac3c60f3f953db652f80263b040b191deeaa0fe69b38c9157"),  # 18 leaves
+    "iris-bootstrap/10-30-3": ("78dd37682de8d69a97dc612cc086f25cf3439e437128e85d867c1fdf23b36ebe",
+        "4178adb63906859c2627ee3462a48dc176df6abc3770fcc608054623590728f4"),  # 5 leaves
+    "iris-bootstrap/10-30-None": ("7db506a5f11d4fd6fd11a634e89614bbad38ce865edfc85cd1375432c5a2a9e1",
+        "4178adb63906859c2627ee3462a48dc176df6abc3770fcc608054623590728f4"),  # 5 leaves
+    "iris-bootstrap/2-7-None": ("df8b0e066aef9c3b0300d6048ff3fd39d58282007efba1228a965b11bfe104c3",
+        "e5779e632758e5890cc43d6b147d863306aee16e0f38cc5548f7e84d558b0cff"),  # 11 leaves
+    "iris/1-2-None": ("e8c3bf20dee733363444c2195b6b2ad5c17fd5f5618426d15aba1ce92c20b567",
+        "439bd8f685fb7bf835f5271bde29d705f8db5b3a201693a6cf6865f24e71b2e2"),  # 22 leaves
+    "iris/10-30-3": ("9fe9899a6c714435c328664aacc35020a82a0f37ebe9a583605e5e5b3bec6dfc",
+        "a80ccbab94cbef0410fb7cebab23e109f0193c4de7884e101d44a6d0b22fcad1"),  # 5 leaves
+    "iris/10-30-None": ("79c31ffe295154eb54ea2b81b169dc430324fabefbba8579f16facc86e6ef304",
+        "aa93f9f9db0c3e04518f7c73cc57537d3294aac0aa3dd0a328197d4beb69e268"),  # 6 leaves
+    "iris/2-7-None": ("aaa755c8b098b17dc137a2605cdfae4e5c9dcf8f346801ac02fe5f82d63f8037",
+        "51176b65149cda8aaa5ef477424bf27d4e6a80b8f42c466cbf82b7a761cd4d39"),  # 11 leaves
+    "many-classes": ("66a86fec692a336f551e2fe3fe56b7dde66249322bfff9c3de270d29f1f4b4e7",
+        "a6836983710442128d5e792199bb7264e8e2b1745eaafe1ad18a18980123c1ea"),  # 148 leaves
+    "max-depth-0": ("81ead4ae40792384eefcbc88a07323050045f7ea10eb6c89b1a5f2491ee57134",
+        "cfe9ef49abc35a06b2e2eea71e8b6a3f9b7874159db5c2b63e734cfee3cec739"),  # 1 leaves
+    "missing-class": ("33d735418f4004249f4ba75c8bf625d0eefaa56d220342ada6f0830b04c6aee0",
+        "9cf20af6d34d3b8258839492a4ea7d3d4381dbeb8415d2f5b58aa8b68c35d38b"),  # 2 leaves
+    "one-row-class": ("129c1c65f9770ece8f1c831f0716fa78b64dfeac68107f68065d11e8c3ee39ed",
+        "32f8e926d614e3b8131bc1fb1904f5c3faff603f22cc447f21f68e8c485514af"),  # 14 leaves
+    "shallow-separated": ("123a96b84fe6f343f8970216b14df73c30451fb5b0b74ff05e73d52d36f63946",
+        "5a99bf204da7d0d0dad4fb9ae66007b89ed102e6cefc9e91c9a1d3a145a2d453"),  # 9 leaves
+    "tied-features": ("c4f9960b3b84399c28f5402d052eb32b0b0182c4b8ba5e8259c5ef1934df4f00",
+        "65b952dbb79aa32a87e3132366b55075a1fb78d78ff9bdd703d9264e15156215"),  # 7 leaves
+    "wine-bootstrap/1-2-None": ("0b3bed6869d9752169d369e070e3ff9478251ff3306cc13e1e940851f571c524",
+        "a758cb5e874b20d36fe8eb1a56b5a70d8d517373ed03fbc5a09b33251510c3fb"),  # 13 leaves
+    "wine-bootstrap/10-30-3": ("d337227c8c857422c5c55b034f9397c7ecb178195cde117fa72a35d30250d2c3",
+        "3315128360701365a2bdc4a74dd861ef3bd58cbfac0389d0c0f2838f79c41532"),  # 6 leaves
+    "wine-bootstrap/10-30-None": ("22d72d43fc64c335fb813af9453610a343e35eca7b2c6a9fa4fbb458c80ea445",
+        "3315128360701365a2bdc4a74dd861ef3bd58cbfac0389d0c0f2838f79c41532"),  # 6 leaves
+    "wine-bootstrap/2-7-None": ("0f1b3bd4620ae1c27e0a82c076114064b51f5c2e133f24ee0bb0d6f9b2fccbf0",
+        "5c347d4a6443d8b1cd0caa263362b4ad5db24067b0abd7919a81222f842282d5"),  # 14 leaves
+    "wine/1-2-None": ("0d71c07c2d08dcf0c95f232aabf6428d4d58afdcf40fde33be422007968ec235",
+        "cdcb33cd292a509c26b4d10f0d14984e2f1caeea12b331d29d16df3cb9d36816"),  # 19 leaves
+    "wine/10-30-3": ("438f8f3ee1382a71914273ee897a0544702c8494b92a8c43c07f480401bdfad8",
+        "0e0dc40c59ef936047eabee20e7d4825e740fa25880ad069f9e6b98eb761ee15"),  # 6 leaves
+    "wine/10-30-None": ("a5fdce5798f816f3325b050a55f528fc7774080907a59ce9d392aed8a553eb64",
+        "0e0dc40c59ef936047eabee20e7d4825e740fa25880ad069f9e6b98eb761ee15"),  # 6 leaves
+    "wine/2-7-None": ("c90b1a72ae7932f58c205196f99ac43329d4d732074e8b03063d5a2b0391d725",
+        "dca8edc2b4899ed39b3e18f7971a502f9e1dd5b40fb46344b96a602cf3fa6f88"),  # 13 leaves
 }
 
 
@@ -175,4 +207,5 @@ def test_tree_matches_golden_digests(name):
 if __name__ == "__main__":
     for case in sorted(CASES):
         tree = _fit(case)
-        print(f"    {case!r}: {tree_digests(tree)!r},  # {tree.n_leaves} leaves")
+        json_digest, rows_digest = tree_digests(tree)
+        print(f'    "{case}": ("{json_digest}",\n{" " * 8}"{rows_digest}"),  # {tree.n_leaves} leaves')
