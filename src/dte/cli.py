@@ -27,7 +27,7 @@ from .oracle import (nearest_mean_instance, oracle_embedding,
 from .pipeline import cross_validate, fit, predict
 from .tree import TreeConfig
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2  # version 1 held an m-wide LDA over the anchors
 
 
 def _default_seed() -> int:
@@ -75,16 +75,22 @@ def cmd_train(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(model, fh)
     if args.verbose:
+        rank = np.linalg.matrix_rank(clf.embedding.anchors)
+        kept = np.linalg.matrix_rank(clf.lda.cov_pinv, hermitian=True)
         print(f"trained on {ds.n} rows, {ds.p} features, {ds.n_classes} classes; "
-              f"embedding width {clf.embedding.m}", file=sys.stderr)
+              f"embedding width {clf.embedding.m}; rank(W) {rank}; "
+              f"pinv kept {kept} directions", file=sys.stderr)
     return 0
 
 
 def _load_model(path):
     with open(path, encoding="utf-8") as fh:
         model = json.load(fh)
-    if model.get("format_version") != MODEL_FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported model format")
+    version = model.get("format_version")
+    if version != MODEL_FORMAT_VERSION:
+        raise DataError(f"{path}: model format version {version} is not supported "
+                        f"(this dte reads version {MODEL_FORMAT_VERSION}); "
+                        f"retrain the model with dte train")
     try:
         emb = Embedding.from_dict(model["embedding"])
         lda = LdaModel.from_dict(model["lda"])
@@ -101,9 +107,9 @@ def _check_model(path, emb: Embedding, lda: LdaModel) -> None:
     bad = [name for name, a in arrays.items() if not np.all(np.isfinite(a))]
     if bad:
         raise DataError(f"{path}: non-finite values in {', '.join(bad)}")
-    if lda.dim != emb.m or lda.cov_pinv.shape != (emb.m, emb.m):
+    if lda.dim != emb.p or lda.cov_pinv.shape != (emb.p, emb.p):
         raise DataError(f"{path}: LDA dimension {lda.dim} does not match "
-                        f"embedding width {emb.m}")
+                        f"the {emb.p} features")
     leaves = [tree.n_leaves for tree in emb.trees]
     if leaves != list(emb.leaf_counts):
         raise DataError(f"{path}: leaf_counts {list(emb.leaf_counts)} do not match "
@@ -173,7 +179,7 @@ def _encode_features(model, rows, header, path):
 
 
 def cmd_predict(args) -> int:
-    model, emb, lda = _load_model(args.model)
+    model, _, lda = _load_model(args.model)
     with open(args.data, newline="", encoding="utf-8") as fh:
         raw = list(csv.reader(fh))
     header = raw[0] if (raw and model["has_header"]) else None
@@ -184,7 +190,7 @@ def cmd_predict(args) -> int:
         w = csv.writer(fh)
         w.writerow([model["label_column"]])
         if len(X):
-            preds = predict_lda(lda, project(emb, X))
+            preds = predict_lda(lda, X)
             for c in preds:
                 w.writerow([model["label_names"][c - 1]])
     return 0

@@ -101,20 +101,9 @@ def anchor_intercept(anchors: np.ndarray) -> np.ndarray:
     return -0.5 * (anchors ** 2).sum(axis=1)
 
 
-def _single_tree(X: np.ndarray, y: np.ndarray, n_classes: int, cfg: TreeConfig):
-    tree = fit_tree_arrays(X, y, n_classes, cfg)
-    anchors = _leaf_means_arrays(X, tree)
-    return tree, anchors, anchor_intercept(anchors)
-
-
 def dte1(ds: Dataset, cfg: TreeConfig = TreeConfig()):
     """Single-tree embedding of the dataset: returns (Z, Embedding)."""
-    if ds.n_classes < 2:
-        raise ValueError("supervised fitting needs at least two classes")
-    tree, anchors, intercept = _single_tree(ds.features, ds.labels, ds.n_classes, cfg)
-    emb = Embedding(anchors, intercept, (tree.n_leaves,), (tree,))
-    z = ds.features @ anchors.T + intercept
-    return z, emb
+    return dte_t(ds, cfg, 1, 0)
 
 
 def dte_t(ds: Dataset, cfg: TreeConfig, t: int, seed):
@@ -122,19 +111,13 @@ def dte_t(ds: Dataset, cfg: TreeConfig, t: int, seed):
 
     Anchor blocks are concatenated in tree order; each bootstrap tree's leaf
     means are taken over its own resampled rows (duplicates counted with
-    multiplicity). Z embeds the original rows through all anchor blocks, so
-    dte_t(ds, cfg, 1, seed) is bit-identical to dte1(ds, cfg).
+    multiplicity). Z embeds the original rows through all anchor blocks.
+    Returns (Z, Embedding).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    z1, emb1 = dte1(ds, cfg)
-    if t == 1:
-        return z1, emb1
-
-    anchor_blocks = [emb1.anchors]
-    intercepts = [emb1.intercept]
-    z_blocks = [z1]
-    trees = list(emb1.trees)
+    if ds.n_classes < 2:
+        raise ValueError("supervised fitting needs at least two classes")
     if isinstance(seed, np.random.SeedSequence):
         entropy, spawn_key = seed.entropy, tuple(seed.spawn_key)
     else:
@@ -142,21 +125,20 @@ def dte_t(ds: Dataset, cfg: TreeConfig, t: int, seed):
     # stateless per-tree streams keyed by the seed's own spawn key plus the
     # tree index, so repeated fits with the same seed object stay identical
     # and sibling seeds from SeedSequence.spawn draw different resamples
-    children = [np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key + (s,))
-                for s in range(t - 1)]
-    for s in range(1, t):
-        sample = bootstrap(ds, children[s - 1])
-        xb = ds.features[sample.indices]
-        yb = ds.labels[sample.indices]
-        tree, anchors, intercept = _single_tree(xb, yb, ds.n_classes, cfg)
+    samples = [slice(None)] + [
+        bootstrap(ds, np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key + (s,))).indices
+        for s in range(t - 1)]
+    trees, anchor_blocks = [], []
+    for rows in samples:
+        X, y = ds.features[rows], ds.labels[rows]
+        tree = fit_tree_arrays(X, y, ds.n_classes, cfg)
         trees.append(tree)
-        anchor_blocks.append(anchors)
-        intercepts.append(intercept)
-        z_blocks.append(ds.features @ anchors.T + intercept)
+        anchor_blocks.append(_leaf_means_arrays(X, tree))
 
-    emb = Embedding(np.vstack(anchor_blocks), np.concatenate(intercepts),
+    anchors = np.vstack(anchor_blocks)
+    emb = Embedding(anchors, anchor_intercept(anchors),
                     tuple(tree.n_leaves for tree in trees), tuple(trees))
-    return np.hstack(z_blocks), emb
+    return ds.features @ anchors.T + emb.intercept, emb
 
 
 def project(emb: Embedding, X) -> np.ndarray:

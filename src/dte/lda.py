@@ -2,8 +2,8 @@
 
 Valid under rank deficiency: the pooled within-class covariance is
 eigendecomposed and eigenvalues at or below d * eps * lambda_max are
-truncated, so collinear embedding columns cost nothing. If every class is
-constant the covariance is zero and prediction falls back to priors.
+truncated. If every class is constant the covariance is zero and
+prediction falls back to priors.
 """
 
 from __future__ import annotations
@@ -95,6 +95,8 @@ def discriminant_scores(model: LdaModel, Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != model.dim:
         raise ValueError(f"expected (q, {model.dim}) inputs, got shape {Z.shape}")
+    if Z.size and not np.all(np.isfinite(Z)):
+        raise ValueError("inputs must be finite")
     proj = model.cov_pinv @ model.means.T          # (d, K)
     quad = 0.5 * np.einsum("cd,dc->c", model.means, proj)
     return Z @ proj - quad + model.log_priors

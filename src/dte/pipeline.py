@@ -3,22 +3,21 @@
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import Dataset, FoldPlan, stratified_folds
-from .embed import Embedding, dte_t, project
+from .embed import Embedding, dte_t, project  # noqa: F401  (project: perfbench traces it here)
 from .lda import LdaModel, fit_lda, predict_lda
 from .tree import TreeConfig, fit_tree
-
-LEAF_WARNING_THRESHOLD = 2000
 
 
 @dataclass(frozen=True)
 class DteClassifier:
+    """Embedding plus the LDA rule, which acts on the input features x."""
+
     embedding: Embedding
     lda: LdaModel
     config: TreeConfig
@@ -26,25 +25,31 @@ class DteClassifier:
     seed: object
 
     def __post_init__(self):
-        if self.lda.dim != self.embedding.m:
-            raise ValueError("LDA dimension must equal the embedding width")
+        if self.lda.dim != self.embedding.p:
+            raise ValueError("LDA dimension must equal the embedding's feature count")
 
 
-def fit(ds_train: Dataset, cfg: TreeConfig = TreeConfig(), t: int = 1, seed=0,
-        leaf_warning_threshold: int = LEAF_WARNING_THRESHOLD) -> DteClassifier:
-    """Embed the training rows and fit the linear classifier on them."""
-    z, emb = dte_t(ds_train, cfg, t, seed)
-    worst = max(emb.leaf_counts)
-    if worst > leaf_warning_threshold:
-        warnings.warn(f"a tree produced {worst} leaves; LDA cost grows quadratically "
-                      f"with embedding width", RuntimeWarning, stacklevel=2)
-    model = fit_lda(z, ds_train.labels)
-    return DteClassifier(emb, model, cfg, t, seed)
+def fit(ds_train: Dataset, cfg: TreeConfig = TreeConfig(), t: int = 1, seed=0) -> DteClassifier:
+    """Embed the training rows and fit the linear classifier on them.
+
+    Pseudoinverse LDA on Z = X W^T + b is invariant under that affine map,
+    so it equals LDA on x restricted to span(W). It is fitted on X Q, for
+    Q an orthonormal basis of the anchor span (SVD of W, numpy's rank
+    tolerance), and its means and pseudoinverse are lifted back to x.
+    Directions outside the span keep a zero column of Q, so all-zero
+    anchors leave a zero covariance and the rule falls back to the priors.
+    """
+    _, emb = dte_t(ds_train, cfg, t, seed)
+    _, sv, vt = np.linalg.svd(emb.anchors, full_matrices=False)
+    q = vt.T * (sv > sv[0] * max(emb.anchors.shape) * np.finfo(np.float64).eps)
+    span = fit_lda(ds_train.features @ q, ds_train.labels)
+    lda = LdaModel(span.means @ q.T, q @ span.cov_pinv @ q.T, span.log_priors)
+    return DteClassifier(emb, lda, cfg, t, seed)
 
 
 def predict(clf: DteClassifier, X) -> np.ndarray:
-    """Affine-only inference: project new rows, then apply the LDA rule."""
-    return predict_lda(clf.lda, project(clf.embedding, X))
+    """Affine-only inference: the LDA rule on x, one (q, p) x (p, K) product."""
+    return predict_lda(clf.lda, X)
 
 
 @dataclass

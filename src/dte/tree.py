@@ -186,7 +186,9 @@ def fit_tree_arrays(X: np.ndarray, y: np.ndarray, n_classes: int,
         feat, thr, left_n, left_counts = _best_splits(col, lists, starts, sizes, counts, gini, cfg)
         split = np.flatnonzero(feat >= 0)
         stay = np.flatnonzero(feat < 0)
-        nodes = [SplitNode(int(feat[v]), float(thr[v])) for v in split]
+        # + 0.0 saves a -0.0 threshold as 0.0, which routes the same, so the
+        # bytes do not depend on the order of tied -0.0 and 0.0 values
+        nodes = [SplitNode(int(feat[v]), float(thr[v]) + 0.0) for v in split]
         for v, node in zip(split, nodes):
             setattr(*targets[v], node)
 
@@ -238,8 +240,7 @@ class _Columns:
     searchsorted places values of any feature, and `word` its class packed
     as a digit in base n + 1, so one prefix sum counts several classes.
     Equal values may come in any order: the search reads only values and
-    counts, so the tree does not depend on it, except that a zero threshold
-    drawn between -0.0 and 0.0 may take either sign.
+    counts, so the tree does not depend on it.
     """
 
     def __init__(self, X, y0, n_classes):

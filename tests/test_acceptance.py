@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
-from dte import (DteClassifier, TreeConfig, cross_validate, fit, fit_lda,
-                 predict, predict_lda, project, timing_sweep)
+from dte import (TreeConfig, cross_validate, fit, fit_lda, predict, predict_lda,
+                 project, timing_sweep)
 from dte.embed import anchor_intercept
 from dte.oracle import (GaussianMixtureSpec, bayes_accuracy, check_indicator_error,
                         check_sufficiency, nearest_mean_instance,
@@ -205,14 +205,13 @@ def test_p5_intercept_sign_flip_never_changes_predictions():
         train = sample_mixture(spec, 80, [105, s])
         test = sample_mixture(spec, 60, [106, s])
         clf = fit(train, TreeConfig(), seed=s)
-        emb = dataclasses.replace(clf.embedding, intercept=-clf.embedding.intercept)
-        lda = fit_lda(project(emb, train.features), train.labels)
-        other = DteClassifier(emb, lda, clf.config, 1, s)
-        same = np.array_equal(predict(clf, test.features),
-                              predict(other, test.features))
-        same = same and np.array_equal(predict(clf, train.features),
-                                       predict(other, train.features))
-        assert same, f"instance {s}: sign flip changed predictions"
+        # the rule on x against pseudoinverse LDA on Z under either sign of b
+        for emb in (clf.embedding,
+                    dataclasses.replace(clf.embedding, intercept=-clf.embedding.intercept)):
+            lda = fit_lda(project(emb, train.features), train.labels)
+            for X in (test.features, train.features):
+                assert np.array_equal(predict(clf, X), predict_lda(lda, project(emb, X))), \
+                    f"instance {s}: sign flip changed predictions"
         flips += 1
     criterion("P5", flips == 20,
               "20 seeded instances: flipping the intercept sign leaves every "

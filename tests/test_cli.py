@@ -30,11 +30,19 @@ def iris_model(tmp_path):
 class TestTrain:
     def test_model_dimensions_consistent(self, iris_model, iris):
         model = json.loads(iris_model.read_text())
-        m = len(model["embedding"]["W"])
+        m, p = len(model["embedding"]["W"]), len(model["embedding"]["W"][0])
         assert model["embedding"]["leaf_counts"] == [m]
-        assert len(model["lda"]["means"][0]) == m
+        # the LDA acts on the p features: no m-wide array is saved
+        assert len(model["lda"]["means"][0]) == p
+        assert np.shape(model["lda"]["cov_pinv"]) == (p, p)
         clf = fit(iris, TreeConfig(), t=1, seed=42)
         assert clf.embedding.m == m
+
+    def test_verbose_reports_anchor_rank_and_kept_directions(self, tmp_path, capsys):
+        assert run("train", "--data", IRIS, "--label", "species", "--verbose",
+                   "--out", str(tmp_path / "m.json")) == 0
+        err = capsys.readouterr().err
+        assert "rank(W) 4" in err and "pinv kept 4 directions" in err
 
     def test_same_seed_gives_byte_identical_models(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -119,6 +127,13 @@ class TestModelValidation:
         bad.write_text(json.dumps(model))
         return run("predict", "--model", str(bad), "--data", IRIS,
                    "--out", str(tmp_path / "p.csv"))
+
+    def test_version_1_model_asks_for_retraining(self, iris_model, tmp_path, capsys):
+        def edit(model):
+            model["format_version"] = 1
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        err = capsys.readouterr().err
+        assert "version 1" in err and "retrain" in err
 
     def test_missing_field_exits_2(self, iris_model, tmp_path, capsys):
         def edit(model):

@@ -1,18 +1,25 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dte import (DteClassifier, TreeConfig, cross_validate, fit, fit_lda,
-                 from_arrays, predict, predict_lda, project, timing_sweep)
+                 from_arrays, load_csv, predict, predict_lda, project, timing_sweep)
 from dte.data import stratified_folds
 from dte.oracle import sample_mixture, three_cluster_spec
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def blob_dataset(rng, n=80, k=2, spread=10.0, p=2):
     y = np.concatenate([np.full(n // k, c + 1) for c in range(k)])
     X = rng.normal(scale=spread, size=(k, p))[y - 1] + rng.normal(size=(n, p))
     return from_arrays(X, y)
+
+
+def flip_intercept(emb):
+    return dataclasses.replace(emb, intercept=-emb.intercept)
 
 
 class TestFitPredict:
@@ -22,10 +29,13 @@ class TestFitPredict:
         assert np.array_equal(predict(clf, ds.features), ds.labels)
 
     def test_composition_matches_module_oracles(self, iris):
+        # the pipeline's rule on x equals pseudoinverse LDA fitted on the
+        # embedded rows, whichever sign the intercept takes
         clf = fit(iris, TreeConfig(), t=2, seed=3)
-        z = project(clf.embedding, iris.features)
-        assert np.array_equal(predict(clf, iris.features),
-                              predict_lda(clf.lda, z))
+        for emb in (clf.embedding, flip_intercept(clf.embedding)):
+            lda_z = fit_lda(project(emb, iris.features), iris.labels)
+            assert np.array_equal(predict(clf, iris.features),
+                                  predict_lda(lda_z, project(emb, iris.features)))
 
     def test_single_row_equals_batch_row(self, iris):
         clf = fit(iris, TreeConfig(), seed=0)
@@ -39,12 +49,10 @@ class TestFitPredict:
             train = sample_mixture(spec, 80, [21, s])
             test = sample_mixture(spec, 60, [22, s])
             clf = fit(train, TreeConfig(), seed=s)
-            flipped_emb = dataclasses.replace(clf.embedding,
-                                              intercept=-clf.embedding.intercept)
-            lda_flipped = fit_lda(project(flipped_emb, train.features), train.labels)
-            flipped = DteClassifier(flipped_emb, lda_flipped, clf.config, 1, s)
-            assert np.array_equal(predict(clf, test.features),
-                                  predict(flipped, test.features))
+            for emb in (clf.embedding, flip_intercept(clf.embedding)):
+                lda_z = fit_lda(project(emb, train.features), train.labels)
+                assert np.array_equal(predict(clf, test.features),
+                                      predict_lda(lda_z, project(emb, test.features)))
 
     def test_lda_dim_must_match_embedding(self, iris):
         clf = fit(iris, TreeConfig())
@@ -53,10 +61,67 @@ class TestFitPredict:
         with pytest.raises(ValueError, match="dimension"):
             DteClassifier(clf.embedding, bad_lda, clf.config, 1, 0)
 
-    def test_large_embedding_warns(self, rng):
-        ds = blob_dataset(rng, n=60, spread=1.0)
-        with pytest.warns(RuntimeWarning, match="leaves"):
-            fit(ds, TreeConfig(min_leaf_size=1), leaf_warning_threshold=2)
+
+def _split(ds, seed=0):
+    """One stratified 80/20 split: (training Dataset, held-out features)."""
+    plan = stratified_folds(ds, 1, 5, seed)
+    return ds.subset(plan.train_rows(0, 0)), ds.features[plan.test_rows(0, 0)]
+
+
+def _standardized(name, label):
+    ds = load_csv(DATA_DIR / f"{name}.csv", label)
+    X = (ds.features - ds.features.mean(axis=0)) / ds.features.std(axis=0)
+    return _split(from_arrays(X, ds.labels))
+
+
+def _three_cluster(s):
+    spec = three_cluster_spec()
+    return sample_mixture(spec, 100, [31, s]), sample_mixture(spec, 100, [32, s]).features
+
+
+def _deep_mixture():
+    """20k training rows of six overlapping components owned by three classes."""
+    means = np.random.default_rng(20251202).normal(size=(6, 10))
+    rng = np.random.default_rng([7, 3])
+    comp = rng.integers(0, 6, size=25_000)
+    X = means[comp] + rng.standard_normal((25_000, 10))
+    y = np.array([1, 2, 3, 1, 2, 3])[comp]
+    return from_arrays(X[:20_000], y[:20_000]), X[20_000:]
+
+
+IDENTITY_CASES = {
+    "iris": lambda: _split(load_csv(DATA_DIR / "iris.csv", "species")),
+    "three_cluster_0": lambda: _three_cluster(0),
+    "three_cluster_1": lambda: _three_cluster(1),
+    "three_cluster_2": lambda: _three_cluster(2),
+    "wine_standardized": lambda: _standardized("wine", "cultivar"),
+    "cancer_standardized": lambda: _standardized("breast_cancer", "diagnosis"),
+}
+
+
+class TestAnchorSpanIdentity:
+    """The rule on x equals pseudoinverse LDA on Z = X W^T + b (the paper's
+    classifier) on every training and held-out row, wherever the Z-space
+    pseudoinverse keeps all rank(W) directions."""
+
+    @staticmethod
+    def check(train, held_out, t):
+        clf = fit(train, TreeConfig(), t=t, seed=t)
+        lda_z = fit_lda(project(clf.embedding, train.features), train.labels)
+        assert (np.linalg.matrix_rank(lda_z.cov_pinv, hermitian=True)
+                == np.linalg.matrix_rank(clf.embedding.anchors))
+        for X in (train.features, held_out):
+            assert np.array_equal(predict(clf, X),
+                                  predict_lda(lda_z, project(clf.embedding, X)))
+
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("case", sorted(IDENTITY_CASES))
+    def test_matches_z_space_lda(self, case, t):
+        self.check(*IDENTITY_CASES[case](), t)
+
+    def test_matches_z_space_lda_on_deep_trees(self):
+        # one ~500-leaf tree; the Z-space side holds 20k x m floats twice
+        self.check(*_deep_mixture(), 1)
 
 
 class TestCrossValidate:

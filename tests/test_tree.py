@@ -208,6 +208,20 @@ class TestSerialization:
         assert again.to_dict() == tree.to_dict()
         assert np.array_equal(again.apply(wine.features), tree.apply(wine.features))
 
+    def test_signed_zero_threshold_saved_the_same_for_any_row_order(self):
+        # the only split falls between tied -0.0 and 0.0 values, whose sorted
+        # order depends on the row order
+        x = np.array([-1.0] * 4 + [-0.0, 0.0] * 6 + [1.0] * 4)
+        y = np.array([1] * 4 + [2] * 16)
+        saved = set()
+        for s in range(20):
+            perm = np.random.default_rng(s).permutation(len(x))
+            tree = fit_tree(from_arrays(x[perm, None], y[perm]),
+                            TreeConfig(min_leaf_size=1, num_bins=2))
+            saved.add(json.dumps(tree.to_dict()))
+        assert len(saved) == 1
+        assert '"threshold": 0.0,' in saved.pop()
+
     def test_bad_leaf_ids_rejected(self):
         with pytest.raises(ValueError, match="leaf ids"):
             DecisionTree.from_dict({
