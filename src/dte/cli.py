@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import DataError, Dataset, load_csv
+from .data import Column, DataError, load_csv, load_features, source_columns
 from .embed import Embedding, anchor_intercept, project
 from .lda import LdaModel, fit_lda, predict_lda
 from .oracle import (nearest_mean_instance, oracle_embedding,
@@ -49,13 +48,8 @@ def _add_tree_flags(p):
                    help="RNG seed (default 42, or env DTE_SEED)")
 
 
-def _load_labeled(args) -> Dataset:
-    label = args.label if args.header else int(args.label)
-    return load_csv(args.data, label, has_header=args.header)
-
-
 def cmd_train(args) -> int:
-    ds = _load_labeled(args)
+    ds = load_csv(args.data, args.label, has_header=args.header)
     cfg = _tree_config(args)
     seed = args.seed if args.seed is not None else _default_seed()
     clf = fit(ds, cfg, t=args.trees, seed=seed)
@@ -80,6 +74,10 @@ def cmd_train(args) -> int:
         print(f"trained on {ds.n} rows, {ds.p} features, {ds.n_classes} classes; "
               f"embedding width {clf.embedding.m}; rank(W) {rank}; "
               f"pinv kept {kept} directions", file=sys.stderr)
+        levels = [f"; {name}: {len(idx)} levels" for name, idx in source_columns(ds.schema)
+                  if ds.schema[idx[0]].kind == "onehot"]
+        print(f"source columns: {sum(c.kind == 'numeric' for c in ds.schema)} numeric, "
+              f"{len(levels)} categorical{''.join(levels)}", file=sys.stderr)
     return 0
 
 
@@ -94,10 +92,11 @@ def _load_model(path):
     try:
         emb = Embedding.from_dict(model["embedding"])
         lda = LdaModel.from_dict(model["lda"])
+        schema = tuple(Column.from_dict(c) for c in model["schema"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model ({type(exc).__name__}: {exc})") from None
     _check_model(path, emb, lda)
-    return model, emb, lda
+    return model, schema, lda
 
 
 def _check_model(path, emb: Embedding, lda: LdaModel) -> None:
@@ -119,85 +118,18 @@ def _check_model(path, emb: Embedding, lda: LdaModel) -> None:
         raise DataError(f"{path}: intercept b is not -||W||^2 / 2")
 
 
-def _encode_features(model, rows, header, path):
-    """Re-encode raw CSV feature rows against the stored training schema."""
-    schema = model["schema"]
-    # original source columns in training order
-    sources: list[str] = []
-    for col in schema:
-        name = col["source"] if col["kind"] == "onehot" else col["name"]
-        if name not in sources:
-            sources.append(name)
-
-    if header is not None:
-        extra = [h for h in header if h not in sources]
-        missing = [s for s in sources if s not in header]
-        if extra or missing:
-            parts = []
-            if extra:
-                parts.append(f"unknown columns {extra}")
-            if missing:
-                parts.append(f"missing columns {missing}")
-            raise DataError(f"{path}: schema mismatch: " + "; ".join(parts))
-        col_of = {h: i for i, h in enumerate(header)}
-    else:
-        if rows and len(rows[0]) != len(sources):
-            raise DataError(f"{path}: expected {len(sources)} feature columns, "
-                            f"got {len(rows[0])}")
-        col_of = {s: i for i, s in enumerate(sources)}
-
-    known_cats: dict[str, set] = {}
-    for col in schema:
-        if col["kind"] == "onehot":
-            known_cats.setdefault(col["source"], set()).add(col["category"])
-
-    X = np.zeros((len(rows), len(schema)))
-    for i, row in enumerate(rows):
-        if len(row) != len(header or sources):
-            raise DataError(f"{path}: row {i + 1}: wrong field count")
-        for j, col in enumerate(schema):
-            if col["kind"] == "numeric":
-                cell = row[col_of[col["name"]]]
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataError(f"{path}: row {i + 1}: non-numeric value {cell!r} "
-                                    f"in column {col['name']!r}") from None
-                if not math.isfinite(v):
-                    raise DataError(f"{path}: row {i + 1}: non-finite value "
-                                    f"in column {col['name']!r}")
-                X[i, j] = v
-            else:
-                cell = row[col_of[col["source"]]]
-                X[i, j] = 1.0 if cell == col["category"] else 0.0
-        # reject category values never seen in training
-        for s, cats in known_cats.items():
-            if row[col_of[s]] not in cats:
-                raise DataError(f"{path}: row {i + 1}: unknown category "
-                                f"{row[col_of[s]]!r} in column {s!r}")
-    return X
-
-
 def cmd_predict(args) -> int:
-    model, _, lda = _load_model(args.model)
-    with open(args.data, newline="", encoding="utf-8") as fh:
-        raw = list(csv.reader(fh))
-    header = raw[0] if (raw and model["has_header"]) else None
-    rows = raw[1:] if header is not None else raw
-
-    X = _encode_features(model, rows, header, args.data)
+    model, schema, lda = _load_model(args.model)
+    X = load_features(args.data, schema, model["has_header"])
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow([model["label_column"]])
-        if len(X):
-            preds = predict_lda(lda, X)
-            for c in preds:
-                w.writerow([model["label_names"][c - 1]])
+        w.writerows(zip(map(model["label_names"].__getitem__, (predict_lda(lda, X) - 1).tolist())))
     return 0
 
 
 def cmd_benchmark(args) -> int:
-    ds = _load_labeled(args)
+    ds = load_csv(args.data, args.label, has_header=args.header)
     cfg = _tree_config(args)
     seed = args.seed if args.seed is not None else _default_seed()
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -255,9 +187,8 @@ def cmd_simulate(args) -> int:
             with open(args.dump, "w", newline="", encoding="utf-8") as fh:
                 w = csv.writer(fh)
                 w.writerow([f"z{j}" for j in range(z.shape[1])] + ["label", "cluster"])
-                for i in range(train.n):
-                    w.writerow([repr(float(v)) for v in z[i]]
-                               + [int(train.labels[i]), int(comps[i]) + 1])
+                w.writerows(zip(*[map(repr, col) for col in z.T.tolist()],
+                                train.labels.tolist(), (comps + 1).tolist()))
             dump_done = True
 
     mean = {key: float(np.mean([rec[key] for rec in records]))

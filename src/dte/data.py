@@ -1,10 +1,12 @@
-"""Dataset ingestion, one-hot encoding, stratified folds, and bootstrap resampling."""
+"""Dataset ingestion, the columnar CSV codec (``fit_schema``, ``encode`` and ``decode``
+over a tuple of ``Column``), stratified folds, and bootstrap resampling."""
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,141 +109,207 @@ def from_arrays(X, y, label_column: str = "label") -> Dataset:
     return Dataset(X, y, schema, names, label_column)
 
 
-def _parse_float(text: str) -> float | None:
+def _read(path, has_header: bool) -> tuple[list[str] | None, list[str], np.ndarray]:
+    """The header (None without one or in an empty file), the data cells in row
+    order and each data row's field count; no list of rows is ever held."""
+    cells, lengths = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None) if has_header else None
+        for row in rows:
+            cells += row
+            lengths.append(len(row))
+    return header, cells, np.array(lengths, dtype=np.intp)
+
+
+def _parse(cells) -> tuple[np.ndarray, int]:
+    """Values of the cells under Python ``float()`` up to the first it rejects, and their count."""
+    it = iter(cells)
     try:
-        return float(text)
-    except ValueError:
-        return None
+        return np.fromiter(map(float, it), np.float64, len(cells)), len(cells)
+    except ValueError:  # the rejected cell is the last one the iterator handed out
+        bad = len(cells) - operator.length_hint(it) - 1
+        return np.fromiter(map(float, cells[:bad]), np.float64, bad), bad
+
+
+def _columns(path, names, cells, lengths, first_line: int, keep=frozenset()) -> list:
+    """Split ``_read`` cells into columns, emptying ``cells`` so that numeric cells are freed.
+
+    A column is an array of its values when every cell is a finite number and its
+    index is not in ``keep``, else its list of cells. Rejects a repeated column
+    name, then the first row with a wrong field count or a blank cell.
+    """
+    twins = [name for j, name in enumerate(names) if name in names[:j]]
+    if twins:  # columns are told apart by name, in the schema and at predict time
+        raise DataError(f"{path}: duplicate column name {twins[0]!r}")
+    arity = len(names)
+    wrong = np.flatnonzero(lengths != arity)
+    end = int(wrong[0]) if wrong.size else len(lengths)
+    columns, blank = [], (end, 0)
+    for j in range(arity):
+        col = cells[j:end * arity:arity]
+        values, parsed = _parse(col)
+        if parsed < end:  # float() rejects blank cells, so only such a column can hold one
+            rows = np.flatnonzero(np.fromiter(map(operator.not_, map(str.strip, col)), bool, end))
+            blank = min(blank, (int(rows[0]) if rows.size else end, j))
+        finite = parsed == end and j not in keep and np.isfinite(values).all()
+        columns.append(values if finite else col)
+    cells.clear()
+    if blank[0] < end:
+        raise DataError(f"{path}: line {first_line + blank[0]}: missing value in column "
+                        f"{names[blank[1]]!r}")
+    if end < len(lengths):
+        raise DataError(f"{path}: line {first_line + end}: expected {arity} fields, "
+                        f"got {lengths[end]}")
+    return columns
+
+
+def source_columns(schema) -> list[tuple[str, list[int]]]:
+    """The CSV columns a schema encodes, in order, each with its feature indices
+    (one numeric feature, or a run of one-hot features from the same source)."""
+    groups: list[tuple[str, list[int]]] = []
+    for j, col in enumerate(schema):
+        if col.kind == "onehot" and j and schema[j - 1].source == col.source:
+            groups[-1][1].append(j)
+        else:
+            groups.append((col.source if col.kind == "onehot" else col.name, [j]))
+    return groups
+
+
+def fit_schema(names, columns) -> tuple[Column, ...]:
+    """Fit column kinds and categories: a column is numeric when every cell parses
+    with Python ``float()``, else one one-hot feature per distinct value, sorted."""
+    schema: list[Column] = []
+    for name, col in zip(names, columns):
+        if isinstance(col, np.ndarray) or _parse(col)[1] == len(col):
+            schema.append(Column(name, "numeric"))
+        else:
+            schema.extend(Column(f"{name}={c}", "onehot", source=name, category=c)
+                          for c in sorted(set(col)))
+    return tuple(schema)
+
+
+def encode(schema, columns, path, first_line: int) -> np.ndarray:
+    """Encode columns (cells, or values of numeric ones), one per ``source_columns``
+    entry, as features. The first bad cell of the first bad column is rejected
+    with its file line: non-numeric, non-finite, or an unfitted category."""
+    n = len(columns[0]) if columns else 0
+    X = np.zeros((n, len(schema)))
+    for (name, idx), cells in zip(source_columns(schema), columns):
+        if schema[idx[0]].kind == "numeric":
+            values, parsed = (cells, n) if isinstance(cells, np.ndarray) else _parse(cells)
+            bad = np.flatnonzero(~np.isfinite(values))
+            row = int(bad[0]) if bad.size else parsed
+            fault = "non-finite value" if row < parsed else "non-numeric value"
+            X[:parsed, idx[0]] = values  # parsed < n only when the cell at row is rejected
+        else:
+            feature_of = {schema[j].category: j for j in idx}
+            js = np.fromiter(map(feature_of.get, cells, itertools.repeat(-1)), np.intp, n)
+            bad = np.flatnonzero(js < 0)
+            row, fault = (int(bad[0]) if bad.size else n), "unknown category"
+            X[np.arange(n), js] = 1.0
+        if row < n:
+            raise DataError(f"{path}: line {first_line + row}: {fault} {cells[row]!r} "
+                            f"in column {name!r}")
+    return X
+
+
+def decode(schema, features) -> tuple[list[str], list[list[str]]]:
+    """Invert ``encode``: source column names and cells, numbers in shortest
+    round-trip form; each one-hot group must have exactly one 1.0 per row."""
+    names, columns = [], []
+    for name, idx in source_columns(schema):
+        names.append(name)
+        if schema[idx[0]].kind == "numeric":
+            columns.append(list(map(repr, features[:, idx[0]].tolist())))
+            continue
+        hot = features[:, idx] == 1.0
+        active = hot.sum(axis=1)
+        bad = np.flatnonzero(active != 1)
+        if bad.size:
+            raise DataError(f"row {bad[0]}: one-hot group {name!r} "
+                            f"has {active[bad[0]]} active columns")
+        categories = [schema[j].category for j in idx]
+        columns.append(list(map(categories.__getitem__, hot.argmax(axis=1).tolist())))
+    return names, columns
 
 
 def load_csv(path, label_column, has_header: bool = True) -> Dataset:
-    """Load a labeled CSV into a Dataset.
+    """Load a labeled CSV into a Dataset, its schema from ``fit_schema``.
 
-    Numeric columns are parsed as-is; string-valued columns are one-hot
-    expanded (one binary column per distinct value, lexicographic order).
     Labels are re-indexed to contiguous 1..K in order of first appearance.
     With a header the label column is selected by name, without one by
     zero-based index. Missing cells and non-finite numerics are rejected.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    header, cells, lengths = _read(path, has_header)
+    if header is None and not lengths.size:
         raise DataError(f"{path}: empty file")
 
-    if has_header:
-        header = rows[0]
-        body = rows[1:]
-        first_line = 2
+    first_line = 1 if header is None else 2
+    if header is not None:
         if label_column not in header:
             raise DataError(f"{path}: label column {label_column!r} not found in header")
         label_idx = header.index(label_column)
-        label_name = label_column
     else:
-        header = [f"c{j}" for j in range(len(rows[0]))]
-        body = rows
-        first_line = 1
+        header = [f"c{j}" for j in range(lengths[0])]
         try:
             label_idx = int(label_column)
         except (TypeError, ValueError):
             raise DataError("without a header, label_column must be a zero-based index") from None
         if not 0 <= label_idx < len(header):
             raise DataError(f"{path}: label column index {label_idx} out of range")
-        label_name = header[label_idx]
 
-    if not body:
+    if not lengths.size:
         raise DataError(f"{path}: no data rows")
 
-    arity = len(header)
-    for i, row in enumerate(body):
-        lineno = first_line + i
-        if len(row) != arity:
-            raise DataError(f"{path}: line {lineno}: expected {arity} fields, got {len(row)}")
-        for j, cell in enumerate(row):
-            if cell.strip() == "":
-                raise DataError(f"{path}: line {lineno}: missing value in column {header[j]!r}")
-
-    raw_labels = [row[label_idx] for row in body]
-    feat_names = [h for j, h in enumerate(header) if j != label_idx]
-    feat_cols = [[row[j] for row in body] for j in range(arity) if j != label_idx]
-
-    # labels re-indexed by first appearance
-    label_names: list[str] = []
-    label_map: dict[str, int] = {}
-    labels = np.empty(len(body), dtype=np.int64)
-    for i, v in enumerate(raw_labels):
-        if v not in label_map:
-            label_map[v] = len(label_names) + 1
-            label_names.append(v)
-        labels[i] = label_map[v]
+    columns = _columns(path, header, cells, lengths, first_line, keep={label_idx})
+    raw_labels = columns.pop(label_idx)
+    names = header[:label_idx] + header[label_idx + 1:]
+    label_names = tuple(dict.fromkeys(raw_labels))
     if len(label_names) < 2:
         raise DataError(f"{path}: only one class ({label_names[0]!r}) present")
+    class_of = dict(zip(label_names, range(1, len(label_names) + 1)))
+    labels = np.fromiter(map(class_of.__getitem__, raw_labels), np.int64, len(raw_labels))
 
-    blocks: list[np.ndarray] = []
-    schema: list[Column] = []
-    for name, values in zip(feat_names, feat_cols):
-        parsed = [_parse_float(v) for v in values]
-        if all(x is not None for x in parsed):
-            for i, x in enumerate(parsed):
-                if not math.isfinite(x):
-                    raise DataError(f"{path}: line {first_line + i}: non-finite value "
-                                    f"{values[i]!r} in column {name!r}")
-            blocks.append(np.asarray(parsed, dtype=np.float64)[:, None])
-            schema.append(Column(name, "numeric"))
-        else:
-            cats = sorted(set(values))
-            idx = {c: k for k, c in enumerate(cats)}
-            block = np.zeros((len(values), len(cats)))
-            block[np.arange(len(values)), [idx[v] for v in values]] = 1.0
-            blocks.append(block)
-            schema.extend(Column(f"{name}={c}", "onehot", source=name, category=c) for c in cats)
+    schema = fit_schema(names, columns)
+    features = encode(schema, columns, path, first_line)
+    return Dataset(features, labels, schema, label_names, header[label_idx])
 
-    features = np.hstack(blocks)
-    return Dataset(features, labels, tuple(schema), tuple(label_names), label_name)
+
+def load_features(path, schema, has_header: bool = True) -> np.ndarray:
+    """Encode an unlabeled CSV against a fitted schema; an empty file gives no rows.
+    A header must name exactly the schema's source columns, in any order."""
+    groups = source_columns(schema)
+    sources = [name for name, _ in groups]
+    header, cells, lengths = _read(path, has_header)
+    if header is not None:
+        parts = [f"{what} columns {names}" for what, names in (
+            ("unknown", [h for h in header if h not in sources]),
+            ("missing", [s for s in sources if s not in header])) if names]
+        if parts:
+            raise DataError(f"{path}: schema mismatch: " + "; ".join(parts))
+        first_line = 2
+    else:
+        if lengths.size and lengths[0] != len(sources):
+            raise DataError(f"{path}: expected {len(sources)} feature columns, "
+                            f"got {lengths[0]}")
+        header, first_line = sources, 1
+    position = {h: j for j, h in enumerate(header)}
+    keep = {position[name] for name, idx in groups if schema[idx[0]].kind == "onehot"}
+    columns = _columns(path, header, cells, lengths, first_line, keep)
+    return encode(schema, [columns[position[s]] for s in sources], path, first_line)
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write a Dataset back to CSV, inverting one-hot groups to their source columns.
-
-    Reloading the file with load_csv(path, ds.label_column) reproduces the
-    Dataset exactly (floats are written in shortest round-trip form).
-    """
-    header: list[str] = []
-    emitters: list = []  # (kind, payload)
-    j = 0
-    while j < ds.p:
-        col = ds.schema[j]
-        if col.kind == "numeric":
-            header.append(col.name)
-            emitters.append(("numeric", j))
-            j += 1
-        else:
-            group = [j]
-            while j + 1 < ds.p and ds.schema[j + 1].kind == "onehot" \
-                    and ds.schema[j + 1].source == col.source:
-                j += 1
-                group.append(j)
-            header.append(col.source)
-            emitters.append(("onehot", group))
-            j += 1
-    header.append(ds.label_column)
-
+    """Write a Dataset back to CSV through ``decode``; reloading the file with
+    load_csv(path, ds.label_column) reproduces the Dataset exactly."""
+    names, columns = decode(ds.schema, ds.features)
+    labels = map(ds.label_names.__getitem__, (ds.labels - 1).tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(ds.n):
-            row = []
-            for kind, payload in emitters:
-                if kind == "numeric":
-                    row.append(repr(float(ds.features[i, payload])))
-                else:
-                    hot = [g for g in payload if ds.features[i, g] == 1.0]
-                    if len(hot) != 1:
-                        raise DataError(f"row {i}: one-hot group {ds.schema[payload[0]].source!r} "
-                                        f"has {len(hot)} active columns")
-                    row.append(ds.schema[hot[0]].category)
-            row.append(ds.label_names[ds.labels[i] - 1])
-            w.writerow(row)
+        w.writerow([*names, ds.label_column])
+        w.writerows(zip(*columns, labels))
 
 
 @dataclass(frozen=True)

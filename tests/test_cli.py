@@ -44,6 +44,15 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "rank(W) 4" in err and "pinv kept 4 directions" in err
 
+    def test_verbose_reports_source_columns(self, tmp_path, capsys):
+        # one stray NA turns column w into a categorical column with four levels
+        data = tmp_path / "na.csv"
+        data.write_text("x,w,y\n1,5,a\n2,NA,b\n3,7,a\n4,8,b\n", encoding="utf-8")
+        assert run("train", "--data", str(data), "--label", "y", "--min-leaf", "1",
+                   "--verbose", "--out", str(tmp_path / "m.json")) == 0
+        err = capsys.readouterr().err
+        assert "source columns: 1 numeric, 1 categorical; w: 4 levels\n" in err
+
     def test_same_seed_gives_byte_identical_models(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -101,6 +110,43 @@ class TestPredict:
         assert run("predict", "--model", str(iris_model), "--data", str(bad),
                    "--out", str(out)) == 2
         assert "bonus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, message", [
+        ("5.1,3.5,1.4,0.2\n5.0,abc,1.4,0.2\n",
+         "line 3: non-numeric value 'abc' in column 'sepal_width'"),
+        ("5.1,3.5,inf,0.2\n", "line 2: non-finite value 'inf' in column 'petal_length'"),
+        ("5.1, ,1.4,0.2\n", "line 2: missing value in column 'sepal_width'"),
+        ("5.1,3.5,1.4,0.2\n5.0,3.6,1.4\n", "line 3: expected 4 fields, got 3"),
+    ])
+    def test_bad_cell_or_row_exits_2_with_file_line(self, iris_model, tmp_path, capsys,
+                                                     body, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("sepal_length,sepal_width,petal_length,petal_width\n" + body,
+                       encoding="utf-8")
+        assert run("predict", "--model", str(iris_model), "--data", str(bad),
+                   "--out", str(tmp_path / "p.csv")) == 2
+        assert f"error: {bad}: {message}\n" in capsys.readouterr().err
+
+    def test_categorical_column_of_numbers_is_matched_by_category(self, tmp_path):
+        train = tmp_path / "train.csv"
+        train.write_text("size,lab\n1,a\n2,b\nL,a\n1,a\n2,b\nL,a\n", encoding="utf-8")
+        model = tmp_path / "m.json"
+        assert run("train", "--data", str(train), "--label", "lab",
+                   "--min-leaf", "1", "--out", str(model)) == 0
+        newdata = tmp_path / "new.csv"
+        newdata.write_text("size\n2\n1\n", encoding="utf-8")
+        out = tmp_path / "p.csv"
+        assert run("predict", "--model", str(model), "--data", str(newdata),
+                   "--out", str(out)) == 0
+        assert [r[0] for r in read_rows(out)[1:]] == ["b", "a"]
+
+    def test_duplicate_column_exits_2(self, iris_model, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("sepal_length,sepal_width,petal_length,petal_width,petal_width\n"
+                       "5.1,3.5,1.4,0.2,0.2\n", encoding="utf-8")
+        assert run("predict", "--model", str(iris_model), "--data", str(bad),
+                   "--out", str(tmp_path / "p.csv")) == 2
+        assert "duplicate column name 'petal_width'" in capsys.readouterr().err
 
     def test_unknown_category_exits_2(self, tmp_path, capsys):
         train = tmp_path / "train.csv"
@@ -195,6 +241,18 @@ class TestHeaderless:
                    "--out", str(out)) == 0
         preds = [r[0] for r in read_rows(out)[1:]]
         assert preds == ["a", "b"]
+
+    def test_width_mismatch_exits_2(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text("0.1,1,a\n1.9,2,b\n0.2,1,a\n1.8,2,b\n", encoding="utf-8")
+        model = tmp_path / "m.json"
+        assert run("train", "--data", str(train), "--label", "2", "--no-header",
+                   "--min-leaf", "1", "--out", str(model)) == 0
+        features = tmp_path / "new.csv"
+        features.write_text("0.1,1,7\n", encoding="utf-8")
+        assert run("predict", "--model", str(model), "--data", str(features),
+                   "--out", str(tmp_path / "p.csv")) == 2
+        assert f"{features}: expected 2 feature columns, got 3" in capsys.readouterr().err
 
 
 class TestBenchmark:

@@ -5,16 +5,22 @@ Each case pins three SHA-256 digests of the loaded Dataset: of
 schema, the label names and the label column. The cases are the bundled CSVs
 and a corpus of edge cases written here: categorical columns, a quoted
 category holding a comma, ``1_000``, padded numbers, ``-0.0``, Unicode digits
-and a headerless file. ``LOAD_ERRORS`` pins the exact message of each
-rejected file. The pins were taken from the per-cell loader the columnar
-codec replaced. Regenerate them only for a deliberate change of the format:
+numeric labels and headerless files. ``LOAD_ERRORS`` pins the exact message
+of each rejected file. The pins were taken from the per-cell loader the
+columnar codec replaced. Regenerate them only for a deliberate change of the
+format:
 
     PYTHONPATH=src python tests/test_codec_golden.py
+
+The last test checks the codec against itself: re-encoding a file's feature
+columns with the schema ``load_csv`` fitted gives its features bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -22,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from dte import DataError, load_csv
+from dte.data import load_features
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 BUNDLED = {"iris": "species", "wine": "cultivar", "breast_cancer": "diagnosis"}
@@ -41,6 +48,7 @@ CORPUS = {
     "label-first-appearance": ("y,x\nzeta,1\nalpha,2\nzeta,3\nmid,4\n", "y", True),
     "label-in-middle": ("a,y,b\n1,p,x\n2,q,y\n3,p,x\n", "y", True),
     "stray-na": ("x,w,y\n1,5,a\n2,NA,b\n3,7,a\n4,8,b\n", "y", True),
+    "numeric-labels": ("x,y\n0.5,1\n1.5,2.0\n2.5,1\n3.5,10\n", "y", True),
     "headerless": ("1.0,u,a\n2.0,v,b\n3.5,u,a\n", 2, False),
     "headerless-label-first": ("a,1,2\nb,3,4\na,5,6\n", 0, False),
 }
@@ -134,6 +142,9 @@ PINS = {
     "label-in-middle": ("008279a294d24e98e9e02e62f6277eea1c9a2ea04140c62d940886b292e53c62",
         "ad237e0f45f30122574baddb1856a3d40ef7e57c3f737716d1c4625ef6f220c7",
         "6dab301e2b532bea1d2a70323d97b1907e3a4e8550c79873799c755a8f34aa2e"),  # 3x3
+    "numeric-labels": ("982954a1c5a253c6d2d13289cb3f40aabfe7c7af476ccac76d78b50d20e31d74",
+        "7a87bdb1cc8d6df4973f30cb6d3dd63eebedb51dd58396349b48ffa6148aa8fb",
+        "b9fad8934e9c2e1b0c8595e07623b17e45caec727b6f33f9d1b4d3a86a30c37d"),  # 4x1
     "padded-numbers": ("351f8bd43f53562d0bcfd5e56cfd544a83176c51dfa03ec68d41ebb391cf7aa6",
         "ad237e0f45f30122574baddb1856a3d40ef7e57c3f737716d1c4625ef6f220c7",
         "791ea8f5f2f715497da3a5acb6df92c2b4c6ce46263eab6b8d0479e9341718b9"),  # 3x2
@@ -166,6 +177,29 @@ def test_load_matches_golden_digests(name):
 @pytest.mark.parametrize("name", sorted(LOAD_ERRORS))
 def test_load_error_message_is_pinned(name):
     assert load_error(name) == LOAD_ERRORS[name][3]
+
+
+@pytest.mark.parametrize("name", sorted([*BUNDLED, *CORPUS]))
+def test_encoding_feature_columns_with_stored_schema_reproduces_features(name, tmp_path):
+    """The prediction path (``load_features``) re-encodes a training file's
+    feature columns to the training features bit for bit, one-hot columns
+    included; with a header, the columns are also given in reverse order."""
+    ds = _dataset(name)
+    if name in BUNDLED:
+        text, label, has_header = (DATA_DIR / f"{name}.csv").read_text(encoding="utf-8"), \
+            BUNDLED[name], True
+    else:
+        text, label, has_header = CORPUS[name]
+    rows = list(csv.reader(io.StringIO(text)))
+    drop = rows[0].index(label) if has_header else label
+    rows = [row[:drop] + row[drop + 1:] for row in rows]
+    if has_header:
+        rows = [row[::-1] for row in rows]
+    path = tmp_path / "features.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    X = load_features(path, ds.schema, has_header)
+    assert X.tobytes() == ds.features.tobytes()
 
 
 if __name__ == "__main__":
