@@ -133,6 +133,7 @@ def cmd_benchmark(args) -> int:
     cfg = _tree_config(args)
     seed = args.seed if args.seed is not None else _default_seed()
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)
     reports = cross_validate(ds, methods, replicates=args.replicates,
                              folds=args.folds, seed=seed, cfg=cfg)
     name = Path(args.data).stem

@@ -242,6 +242,11 @@ class TestHeaderless:
         preds = [r[0] for r in read_rows(out)[1:]]
         assert preds == ["a", "b"]
 
+    def test_label_name_without_header_exits_2(self, tmp_path, capsys):
+        assert run("train", "--data", IRIS, "--label", "species", "--no-header",
+                   "--out", str(tmp_path / "m.json")) == 2
+        assert "label_column must be a zero-based index" in capsys.readouterr().err
+
     def test_width_mismatch_exits_2(self, tmp_path, capsys):
         train = tmp_path / "train.csv"
         train.write_text("0.1,1,a\n1.9,2,b\n0.2,1,a\n1.8,2,b\n", encoding="utf-8")
@@ -257,7 +262,7 @@ class TestHeaderless:
 
 class TestBenchmark:
     def test_row_accounting_and_aggregates(self, tmp_path, capsys):
-        prefix = tmp_path / "bench"
+        prefix = tmp_path / "results" / "bench"  # the directory is created
         assert run("benchmark", "--data", IRIS, "--label", "species",
                    "--methods", "dte-1,dte-3,tree", "--replicates", "2",
                    "--folds", "5", "--seed", "1", "--out-prefix", str(prefix)) == 0
@@ -266,7 +271,7 @@ class TestBenchmark:
                            "train_ms", "test_ms"]
         body = rows[1:]
         assert len(body) == 3 * 2 * 5
-        summary = json.loads((tmp_path / "bench.json").read_text())
+        summary = json.loads((tmp_path / "results" / "bench.json").read_text())
         for method in summary["methods"]:
             errs = [float(r[4]) for r in body if r[1] == method["method"]]
             assert method["mean_error"] == pytest.approx(np.mean(errs), rel=1e-12)
