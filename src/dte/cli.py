@@ -93,6 +93,11 @@ def _load_model(path):
         emb = Embedding.from_dict(model["embedding"])
         lda = LdaModel.from_dict(model["lda"])
         schema = tuple(Column.from_dict(c) for c in model["schema"])
+        names = model["label_names"]
+        if type(model["has_header"]) is not bool or type(model["label_column"]) is not str:
+            raise TypeError("has_header must be a bool and label_column a str")
+        if type(names) is not list or list(map(type, names)) != [str] * lda.n_classes:
+            raise ValueError(f"label_names must be a list of {lda.n_classes} strings")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model ({type(exc).__name__}: {exc})") from None
     _check_model(path, emb, lda)

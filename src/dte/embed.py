@@ -1,6 +1,6 @@
 """Leaf-mean anchor embeddings.
 
-A fitted tree partitions the training rows into leaves; the per-leaf sample
+A fitted tree routes the training rows to its leaves; the per-leaf sample
 means become anchor rows of a matrix W with intercepts b_j = -||W_j||^2 / 2,
 and inputs are embedded affinely as Z = X W^T + 1 b^T. The half-norm
 intercept makes coordinate j order points by closeness to anchor j:
@@ -27,8 +27,8 @@ EMBEDDING_FORMAT_VERSION = 1
 class Embedding:
     """Anchor matrix, intercept, and the trees they came from.
 
-    anchors[j] is the mean of the training rows in leaf j of its owning
-    tree; intercept[j] == -||anchors[j]||^2 / 2. Column blocks follow tree
+    anchors[j] is the mean of the training rows its owning tree routes to
+    leaf j; intercept[j] == -||anchors[j]||^2 / 2. Column blocks follow tree
     order, with leaf_counts[s] columns for tree s.
     """
 
@@ -81,19 +81,11 @@ def leaf_means(ds: Dataset, tree: DecisionTree) -> np.ndarray:
 
 
 def _leaf_means_arrays(X: np.ndarray, tree: DecisionTree) -> np.ndarray:
-    means = np.empty((tree.n_leaves, X.shape[1]))
-    if all(leaf.indices.size == leaf.size for leaf in tree.leaves):
-        for leaf in tree.leaves:
-            means[leaf.leaf_id] = X[leaf.indices].mean(axis=0)
-        return means
-    # deserialized tree: recover index sets by routing the rows
-    ids = tree.apply(X)
+    means = {leaf.leaf_id: X[rows].mean(axis=0) for leaf, rows in tree.partition(X)}
     for j in range(tree.n_leaves):
-        rows = np.flatnonzero(ids == j)
-        if rows.size == 0:
+        if j not in means:
             raise ValueError(f"leaf {j} received no rows; was the tree fitted on this data?")
-        means[j] = X[rows].mean(axis=0)
-    return means
+    return np.array([means[j] for j in range(tree.n_leaves)])
 
 
 def anchor_intercept(anchors: np.ndarray) -> np.ndarray:

@@ -66,8 +66,7 @@ class SplitNode:
 @dataclass
 class LeafNode:
     leaf_id: int
-    histogram: np.ndarray          # class counts, index c-1 -> class c
-    indices: np.ndarray            # training rows routed here; empty after deserialization
+    histogram: np.ndarray          # class counts, index c-1 -> class c; rows are not kept
 
     @property
     def majority(self) -> int:
@@ -91,28 +90,34 @@ class DecisionTree:
     def n_leaves(self) -> int:
         return len(self.leaves)
 
-    def apply(self, X) -> np.ndarray | int:
-        """Leaf id reached by each row of X (or by a single vector)."""
+    def partition(self, X):
+        """Yield (leaf, the ascending rows of X routed to it) for each leaf X reaches."""
         X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got shape {X.shape}")
         if X.size and not np.all(np.isfinite(X)):
             raise ValueError("inputs must be finite")
-        out = np.empty(X.shape[0], dtype=np.int64)
         stack = [(self.root, np.arange(X.shape[0]))]
         while stack:
             node, idx = stack.pop()
             if idx.size == 0:
                 continue
             if isinstance(node, LeafNode):
-                out[idx] = node.leaf_id
+                yield node, idx
             else:
                 goes_left = X[idx, node.feature] < node.threshold
                 stack.append((node.left, idx[goes_left]))
                 stack.append((node.right, idx[~goes_left]))
+
+    def apply(self, X) -> np.ndarray | int:
+        """Leaf id reached by each row of X (or by a single vector)."""
+        X = np.asarray(X, dtype=np.float64)
+        single = X.ndim == 1
+        if single:
+            X = X[None, :]
+        out = np.empty(X.shape[:1], dtype=np.int64)  # partition rejects X unless 2-D
+        for leaf, rows in self.partition(X):
+            out[rows] = leaf.leaf_id
         return int(out[0]) if single else out
 
     def predict(self, X) -> np.ndarray | int:
@@ -138,8 +143,7 @@ class DecisionTree:
 
         def build(nd):
             if "leaf_id" in nd:
-                leaf = LeafNode(nd["leaf_id"], np.asarray(nd["histogram"], dtype=np.int64),
-                                np.empty(0, dtype=np.int64))
+                leaf = LeafNode(nd["leaf_id"], np.asarray(nd["histogram"], dtype=np.int64))
                 leaves.append(leaf)
                 return leaf
             return SplitNode(nd["feature"], nd["threshold"],
@@ -168,14 +172,12 @@ def fit_tree_arrays(X: np.ndarray, y: np.ndarray, n_classes: int,
     counts = np.bincount(y0, minlength=n_classes)[None, :]
     gini, searched = _search_runs(sizes, counts, 0, cfg)
     if not searched[0] or p == 0:
-        leaf = LeafNode(0, counts[0], np.arange(n))
+        leaf = LeafNode(0, counts[0])
         return DecisionTree(leaf, [leaf], p, n_classes, cfg)
     col = _Columns(X, y0, n_classes)
 
     holder = SplitNode(-1, 0.0)  # sentinel; its .left becomes the root
     targets = [(holder, "left")]  # where each node of the level attaches
-    leaves: list[LeafNode] = []   # creation order; leaf_id holds that index until renumbered
-    leaf_of_row = np.empty(n, dtype=np.int64)
     # Row j of `lists` holds, for each node of the level, the node's rows in
     # feature j's order, as positions in the presorted columns; node v owns
     # entries starts[v] .. starts[v] + sizes[v] - 1 of every row.
@@ -206,13 +208,7 @@ def fit_tree_arrays(X: np.ndarray, y: np.ndarray, n_classes: int,
         leaf_targets = [child_targets[c] for c in drop] + [targets[v] for v in stay]
         leaf_counts = np.concatenate([child_counts[drop], counts[stay]])
         for target, hist in zip(leaf_targets, leaf_counts):
-            leaf = LeafNode(len(leaves), hist, np.empty(0, dtype=np.int64))
-            setattr(*target, leaf)
-            leaves.append(leaf)
-        leaf_sizes = np.concatenate([child_sizes[drop], sizes[stay]])
-        leaf_of_row[col.rows(lists, np.concatenate([child_start[drop], starts[stay]]),
-                             leaf_sizes)] = np.repeat(
-            np.arange(len(leaves) - len(leaf_sizes), len(leaves)), leaf_sizes)
+            setattr(*target, LeafNode(-1, hist))  # numbered once growth ends
 
         # stable partition of every row of `lists` into the kept children's entries
         kept = np.flatnonzero(keep)
@@ -228,8 +224,7 @@ def fit_tree_arrays(X: np.ndarray, y: np.ndarray, n_classes: int,
         starts = np.cumsum(sizes) - sizes
         depth += 1
 
-    return DecisionTree(holder.left, _number_leaves(holder.left, leaves, leaf_of_row),
-                        p, n_classes, cfg)
+    return DecisionTree(holder.left, _number_leaves(holder.left), p, n_classes, cfg)
 
 
 class _Columns:
@@ -370,24 +365,17 @@ def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
     return feat, thr, chosen_n, chosen_counts
 
 
-def _number_leaves(root, leaves, leaf_of_row):
-    """Renumber leaves in pre-order and give each its sorted training rows."""
+def _number_leaves(root):
+    """The leaves in pre-order, with leaf_id set to their position."""
     ordered = []
     stack = [root]
     while stack:
         node = stack.pop()
         if isinstance(node, LeafNode):
+            node.leaf_id = len(ordered)
             ordered.append(node)
         else:
             stack += [node.right, node.left]
-    renumber = np.empty(len(leaves), dtype=np.int64)
-    for new_id, leaf in enumerate(ordered):
-        renumber[leaf.leaf_id] = new_id
-        leaf.leaf_id = new_id
-    rows = np.argsort(renumber[leaf_of_row], kind="stable")
-    bounds = np.cumsum([leaf.size for leaf in ordered])[:-1]
-    for leaf, chunk in zip(ordered, np.split(rows, bounds)):
-        leaf.indices = chunk
     return ordered
 
 

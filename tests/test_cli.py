@@ -181,11 +181,18 @@ class TestModelValidation:
         err = capsys.readouterr().err
         assert "version 1" in err and "retrain" in err
 
-    def test_missing_field_exits_2(self, iris_model, tmp_path, capsys):
-        def edit(model):
-            del model["lda"]["log_priors"]
+    @pytest.mark.parametrize("field, edit", [
+        ("log_priors", lambda model: model["lda"].pop("log_priors")),
+        ("has_header", lambda model: model.pop("has_header")),
+        ("label_column", lambda model: model.pop("label_column")),
+        ("label_names", lambda model: model.pop("label_names")),
+        ("label_names", lambda model: model["label_names"].pop()),
+        ("has_header", lambda model: model.update(has_header="false")),
+    ], ids=["missing-log_priors", "missing-has_header", "missing-label_column",
+            "missing-label_names", "short-label_names", "string-has_header"])
+    def test_missing_field_exits_2(self, iris_model, tmp_path, capsys, field, edit):
         assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
-        assert "log_priors" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
 
     def test_lda_dimension_must_equal_embedding_width(self, iris_model, tmp_path, capsys):
         def edit(model):

@@ -31,9 +31,16 @@ class TestLeafMeans:
     def test_recomputed_via_apply_matches_stored(self, wine):
         tree = fit_tree(wine, TreeConfig())
         stored = leaf_means(wine, tree)
-        rebuilt = Embedding.from_dict(  # deserialized trees carry no index sets
+        rebuilt = Embedding.from_dict(
             json.loads(json.dumps(dte1(wine, TreeConfig())[1].to_dict()))).trees[0]
-        assert np.allclose(leaf_means(wine, rebuilt), stored, rtol=1e-12)
+        assert np.array_equal(leaf_means(wine, rebuilt), stored)
+
+    def test_leaf_without_rows_is_an_error(self, wine):
+        tree = fit_tree(wine, TreeConfig())
+        keep = tree.apply(wine.features) != 0
+        others = from_arrays(wine.features[keep], wine.labels[keep])
+        with pytest.raises(ValueError, match="leaf 0 received no rows"):
+            leaf_means(others, tree)
 
     def test_mass_weighted_means_aggregate_to_global_mean(self, wine, cancer, sim100):
         for ds in (wine, cancer, sim100):

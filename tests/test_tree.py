@@ -95,12 +95,13 @@ class TestApply:
     def test_training_rows_route_to_their_leaf(self, iris):
         tree = fit_tree(iris, TreeConfig())
         ids = tree.apply(iris.features)
-        for leaf in tree.leaves:
-            assert np.all(ids[leaf.indices] == leaf.leaf_id)
+        for leaf, rows in tree.partition(iris.features):
+            assert np.all(ids[rows] == leaf.leaf_id)
+            assert np.array_equal(np.bincount(iris.labels[rows] - 1, minlength=iris.n_classes),
+                                  leaf.histogram)
 
     def test_boundary_value_routes_right(self):
-        leaves = [LeafNode(0, np.array([2, 0]), np.array([0, 1])),
-                  LeafNode(1, np.array([0, 2]), np.array([2, 3]))]
+        leaves = [LeafNode(0, np.array([2, 0])), LeafNode(1, np.array([0, 2]))]
         tree = DecisionTree(SplitNode(0, 1.5, leaves[0], leaves[1]),
                             leaves, 1, 2, TreeConfig())
         assert tree.apply(np.array([1.5])) == 1
@@ -126,7 +127,7 @@ class TestPredict:
         assert np.array_equal(tree.predict(iris.features), iris.labels)
 
     def test_majority_tie_prefers_smallest_class(self):
-        leaf = LeafNode(0, np.array([3, 3]), np.arange(6))
+        leaf = LeafNode(0, np.array([3, 3]))
         assert leaf.majority == 1
 
     def test_module_level_alias(self, iris):
@@ -138,7 +139,11 @@ class TestPredict:
 class TestInvariants:
     def test_leaf_index_sets_partition_training_rows(self, wine):
         tree = fit_tree(wine, TreeConfig())
-        all_rows = np.concatenate([leaf.indices for leaf in tree.leaves])
+        parts = list(tree.partition(wine.features))
+        assert sorted(leaf.leaf_id for leaf, _ in parts) == list(range(tree.n_leaves))
+        assert all(np.all(np.diff(rows) > 0) for _, rows in parts)
+        assert all(rows.size == leaf.size for leaf, rows in parts)
+        all_rows = np.concatenate([rows for _, rows in parts])
         assert sorted(all_rows.tolist()) == list(range(wine.n))
 
     def test_min_leaf_size_respected(self, wine):

@@ -1,11 +1,12 @@
 """Golden trees: fitted trees must stay byte-identical across rewrites of the grower.
 
 Each case pins the SHA-256 of ``json.dumps(tree.to_dict())`` (structure,
-features, thresholds, histograms) and of the concatenated ``LeafNode.indices``
-in leaf-id order (which training rows each leaf holds). The pins were taken
-from the per-node reference implementation the level-wise grower replaced,
-so any change to a split, a threshold bit, the leaf numbering or a leaf's rows
-fails here. Regenerate them only for a deliberate change of the split rule:
+features, thresholds, histograms) and of the training rows each leaf holds
+(routed by ``apply``; ascending within a leaf, leaves in id order). The pins
+were taken from the per-node reference implementation the level-wise grower
+replaced, so any change to a split, a threshold bit, the leaf numbering or a
+leaf's rows fails here. Regenerate them only for a deliberate change of the
+split rule:
 
     PYTHONPATH=src python tests/test_tree_golden.py
 """
@@ -118,17 +119,17 @@ def _cases():
 CASES = _cases()
 
 
-def tree_digests(tree) -> tuple[str, str]:
-    """SHA-256 of the tree's JSON and of its leaves' row indices."""
+def tree_digests(tree, X) -> tuple[str, str]:
+    """SHA-256 of the tree's JSON and of the rows of X its leaves receive."""
     text = json.dumps(tree.to_dict()).encode()
-    rows = np.concatenate([leaf.indices for leaf in tree.leaves]).astype(np.int64)
+    rows = np.argsort(tree.apply(X), kind="stable").astype(np.int64)
     return hashlib.sha256(text).hexdigest(), hashlib.sha256(rows.tobytes()).hexdigest()
 
 
 def _fit(name):
     make, (min_leaf, bins, depth) = CASES[name]
     X, y, k = make()
-    return fit_tree_arrays(X, y, k, TreeConfig(min_leaf, bins, depth))
+    return fit_tree_arrays(X, y, k, TreeConfig(min_leaf, bins, depth)), X
 
 
 PINS = {
@@ -201,11 +202,11 @@ PINS = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_tree_matches_golden_digests(name):
-    assert tree_digests(_fit(name)) == PINS[name]
+    assert tree_digests(*_fit(name)) == PINS[name]
 
 
 if __name__ == "__main__":
     for case in sorted(CASES):
-        tree = _fit(case)
-        json_digest, rows_digest = tree_digests(tree)
+        tree, X = _fit(case)
+        json_digest, rows_digest = tree_digests(tree, X)
         print(f'    "{case}": ("{json_digest}",\n{" " * 8}"{rows_digest}"),  # {tree.n_leaves} leaves')
