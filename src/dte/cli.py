@@ -111,6 +111,9 @@ def _check_model(path, emb: Embedding, lda: LdaModel) -> None:
     bad = [name for name, a in arrays.items() if not np.all(np.isfinite(a))]
     if bad:
         raise DataError(f"{path}: non-finite values in {', '.join(bad)}")
+    if lda.means.ndim != 2 or lda.log_priors.shape != (lda.n_classes,):
+        raise DataError(f"{path}: lda means {lda.means.shape} and log_priors "
+                        f"{lda.log_priors.shape} are not (K, p) and (K,)")
     if lda.dim != emb.p or lda.cov_pinv.shape != (emb.p, emb.p):
         raise DataError(f"{path}: LDA dimension {lda.dim} does not match "
                         f"the {emb.p} features")
@@ -166,7 +169,7 @@ def cmd_benchmark(args) -> int:
 def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     spec = three_cluster_spec(sigma=args.sigma)
-    cfg = TreeConfig(min_leaf_size=args.min_leaf, num_bins=args.bins)
+    cfg = _tree_config(args)
 
     records = []
     dump_done = False

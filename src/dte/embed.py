@@ -75,11 +75,6 @@ class Embedding:
                          tuple(DecisionTree.from_dict(t) for t in d["trees"]))
 
 
-def leaf_means(ds: Dataset, tree: DecisionTree) -> np.ndarray:
-    """Per-leaf mean feature vectors, one row per leaf id."""
-    return _leaf_means_arrays(ds.features, tree)
-
-
 def _leaf_means_arrays(X: np.ndarray, tree: DecisionTree) -> np.ndarray:
     means = {leaf.leaf_id: X[rows].mean(axis=0) for leaf, rows in tree.partition(X)}
     for j in range(tree.n_leaves):
@@ -93,18 +88,12 @@ def anchor_intercept(anchors: np.ndarray) -> np.ndarray:
     return -0.5 * (anchors ** 2).sum(axis=1)
 
 
-def dte1(ds: Dataset, cfg: TreeConfig = TreeConfig()):
-    """Single-tree embedding of the dataset: returns (Z, Embedding)."""
-    return dte_t(ds, cfg, 1, 0)
-
-
-def dte_t(ds: Dataset, cfg: TreeConfig, t: int, seed):
-    """Ensemble embedding: tree 1 on the data, trees 2..t on bootstrap resamples.
+def fit_embedding(ds: Dataset, cfg: TreeConfig, t: int, seed) -> Embedding:
+    """Fit the anchors: tree 1 on the data, trees 2..t on bootstrap resamples.
 
     Anchor blocks are concatenated in tree order; each bootstrap tree's leaf
     means are taken over its own resampled rows (duplicates counted with
-    multiplicity). Z embeds the original rows through all anchor blocks.
-    Returns (Z, Embedding).
+    multiplicity). No row is embedded; `project` does that.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -128,9 +117,18 @@ def dte_t(ds: Dataset, cfg: TreeConfig, t: int, seed):
         anchor_blocks.append(_leaf_means_arrays(X, tree))
 
     anchors = np.vstack(anchor_blocks)
-    emb = Embedding(anchors, anchor_intercept(anchors),
-                    tuple(tree.n_leaves for tree in trees), tuple(trees))
-    return ds.features @ anchors.T + emb.intercept, emb
+    return Embedding(anchors, anchor_intercept(anchors),
+                     tuple(tree.n_leaves for tree in trees), tuple(trees))
+
+
+def dte_t(ds: Dataset, cfg: TreeConfig, t: int, seed):
+    """The DTE-t map of the training rows: returns (Z, Embedding).
+
+    Z embeds the original rows through all anchor blocks of
+    `fit_embedding(ds, cfg, t, seed)`.
+    """
+    emb = fit_embedding(ds, cfg, t, seed)
+    return project(emb, ds.features), emb
 
 
 def project(emb: Embedding, X) -> np.ndarray:

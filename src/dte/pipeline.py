@@ -9,7 +9,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset, FoldPlan, stratified_folds
-from .embed import Embedding, dte_t, project  # noqa: F401  (project: perfbench traces it here)
+# dte_t and project are unused here; perfbench/spans.py traces them as pipeline attributes
+from .embed import Embedding, dte_t, fit_embedding, project  # noqa: F401
 from .lda import LdaModel, fit_lda, predict_lda
 from .tree import TreeConfig, fit_tree
 
@@ -30,16 +31,17 @@ class DteClassifier:
 
 
 def fit(ds_train: Dataset, cfg: TreeConfig = TreeConfig(), t: int = 1, seed=0) -> DteClassifier:
-    """Embed the training rows and fit the linear classifier on them.
+    """Fit the anchors and the linear classifier on the training rows.
 
     Pseudoinverse LDA on Z = X W^T + b is invariant under that affine map,
-    so it equals LDA on x restricted to span(W). It is fitted on X Q, for
-    Q an orthonormal basis of the anchor span (SVD of W, numpy's rank
-    tolerance), and its means and pseudoinverse are lifted back to x.
+    so it equals LDA on x restricted to span(W), and Z is never formed. It
+    is fitted on X Q, for Q an orthonormal basis of the anchor span (SVD of
+    W, numpy's rank tolerance), and its means and pseudoinverse are lifted
+    back to x.
     Directions outside the span keep a zero column of Q, so all-zero
     anchors leave a zero covariance and the rule falls back to the priors.
     """
-    _, emb = dte_t(ds_train, cfg, t, seed)
+    emb = fit_embedding(ds_train, cfg, t, seed)
     _, sv, vt = np.linalg.svd(emb.anchors, full_matrices=False)
     q = vt.T * (sv > sv[0] * max(emb.anchors.shape) * np.finfo(np.float64).eps)
     span = fit_lda(ds_train.features @ q, ds_train.labels)

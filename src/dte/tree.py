@@ -378,7 +378,3 @@ def _number_leaves(root):
             stack += [node.right, node.left]
     return ordered
 
-
-def predict_tree(tree: DecisionTree, X):
-    """Majority-class prediction; module-level alias of DecisionTree.predict."""
-    return tree.predict(X)

@@ -188,8 +188,10 @@ class TestModelValidation:
         ("label_names", lambda model: model.pop("label_names")),
         ("label_names", lambda model: model["label_names"].pop()),
         ("has_header", lambda model: model.update(has_header="false")),
+        ("log_priors", lambda model: model["lda"].update(log_priors=[0.0])),
     ], ids=["missing-log_priors", "missing-has_header", "missing-label_column",
-            "missing-label_names", "short-label_names", "string-has_header"])
+            "missing-label_names", "short-label_names", "string-has_header",
+            "short-log_priors"])
     def test_missing_field_exits_2(self, iris_model, tmp_path, capsys, field, edit):
         assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
         assert field in capsys.readouterr().err
@@ -300,6 +302,12 @@ class TestSimulate:
                    "--out", str(out)) == 0
         report = json.loads(out.read_text())
         assert 0.0 <= report["mean"]["train_acc"] <= 1.0
+
+    def test_max_depth_caps_the_trees(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run("simulate", "--max-depth", "0", "--repeats", "3", "--seed", "3",
+                   "--out", str(out)) == 0
+        assert [rec["m"] for rec in json.loads(out.read_text())["runs"]] == [1, 1, 1]
 
     def test_default_run_emits_report_and_dump(self, tmp_path):
         out = tmp_path / "report.json"

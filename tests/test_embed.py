@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from dte import Embedding, TreeConfig, dte1, dte_t, from_arrays, leaf_means, project
-from dte.embed import anchor_intercept
+from dte import Embedding, TreeConfig, dte_t, fit_embedding, from_arrays, project
+from dte.embed import _leaf_means_arrays, anchor_intercept
 from dte.oracle import sample_mixture, three_cluster_spec
 from dte.tree import fit_tree
 
@@ -18,34 +18,34 @@ def sim100():
 class TestLeafMeans:
     def test_single_leaf_is_global_mean(self, iris):
         tree = fit_tree(iris, TreeConfig(max_depth=0))
-        means = leaf_means(iris, tree)
+        means = _leaf_means_arrays(iris.features, tree)
         assert np.allclose(means[0], iris.features.mean(axis=0), rtol=1e-12)
 
     def test_hand_computed_two_leaf_means(self):
         ds = from_arrays([[0.0, 0.0], [0.0, 2.0], [4.0, 0.0], [4.0, 2.0]], [1, 1, 2, 2])
         tree = fit_tree(ds, TreeConfig(min_leaf_size=1, num_bins=4))
         assert tree.n_leaves == 2
-        means = leaf_means(ds, tree)
+        means = _leaf_means_arrays(ds.features, tree)
         assert np.array_equal(means, np.array([[0.0, 1.0], [4.0, 1.0]]))
 
     def test_recomputed_via_apply_matches_stored(self, wine):
         tree = fit_tree(wine, TreeConfig())
-        stored = leaf_means(wine, tree)
+        stored = _leaf_means_arrays(wine.features, tree)
         rebuilt = Embedding.from_dict(
-            json.loads(json.dumps(dte1(wine, TreeConfig())[1].to_dict()))).trees[0]
-        assert np.array_equal(leaf_means(wine, rebuilt), stored)
+            json.loads(json.dumps(dte_t(wine, TreeConfig(), 1, 0)[1].to_dict()))).trees[0]
+        assert np.array_equal(_leaf_means_arrays(wine.features, rebuilt), stored)
 
     def test_leaf_without_rows_is_an_error(self, wine):
         tree = fit_tree(wine, TreeConfig())
         keep = tree.apply(wine.features) != 0
         others = from_arrays(wine.features[keep], wine.labels[keep])
         with pytest.raises(ValueError, match="leaf 0 received no rows"):
-            leaf_means(others, tree)
+            _leaf_means_arrays(others.features, tree)
 
     def test_mass_weighted_means_aggregate_to_global_mean(self, wine, cancer, sim100):
         for ds in (wine, cancer, sim100):
             tree = fit_tree(ds, TreeConfig())
-            means = leaf_means(ds, tree)
+            means = _leaf_means_arrays(ds.features, tree)
             sizes = np.array([leaf.size for leaf in tree.leaves])
             agg = (sizes[:, None] * means).sum(axis=0) / ds.n
             assert np.allclose(agg, ds.features.mean(axis=0), rtol=1e-10)
@@ -53,19 +53,19 @@ class TestLeafMeans:
 
 class TestDte1:
     def test_width_equals_leaf_count(self, sim100):
-        z, emb = dte1(sim100, TreeConfig())
+        z, emb = dte_t(sim100, TreeConfig(), 1, 0)
         assert z.shape == (100, emb.m)
         assert emb.m == emb.trees[0].n_leaves
         assert emb.leaf_counts == (emb.m,)
 
     def test_intercept_is_negative_half_squared_norm(self, sim100):
-        _, emb = dte1(sim100, TreeConfig())
+        _, emb = dte_t(sim100, TreeConfig(), 1, 0)
         assert np.array_equal(emb.intercept, -0.5 * (emb.anchors ** 2).sum(axis=1))
 
     def test_single_leaf_column_against_scalar_formula(self, rng):
         X = rng.normal(size=(12, 3))
         ds = from_arrays(X, np.r_[np.ones(6, int), np.full(6, 2)])
-        z, emb = dte1(ds, TreeConfig(max_depth=0))
+        z, emb = dte_t(ds, TreeConfig(max_depth=0), 1, 0)
         mu = X.mean(axis=0)
         expected = np.array([float(np.dot(x, mu) - 0.5 * np.dot(mu, mu)) for x in X])
         assert np.allclose(z[:, 0], expected, rtol=1e-12)
@@ -74,14 +74,14 @@ class TestDte1:
         # axis-aligned leaves do not guarantee rows are nearest their own
         # leaf mean, but the max coordinate always names the nearest anchor
         for ds in (wine, sim100):
-            z, emb = dte1(ds, TreeConfig())
+            z, emb = dte_t(ds, TreeConfig(), 1, 0)
             d2 = ((ds.features[:, None, :] - emb.anchors[None]) ** 2).sum(axis=2)
             assert np.array_equal(z.argmax(axis=1), d2.argmin(axis=1))
 
 
 class TestDteT:
     def test_t1_identical_to_dte1(self, sim100):
-        z1, e1 = dte1(sim100, TreeConfig())
+        z1, e1 = dte_t(sim100, TreeConfig(), 1, 0)
         zt, et = dte_t(sim100, TreeConfig(), 1, seed=99)
         assert np.array_equal(z1, zt)
         assert et.to_dict() == e1.to_dict()
@@ -93,7 +93,7 @@ class TestDteT:
         assert z.shape == (iris.n, emb.m)
 
     def test_first_block_equals_single_tree_embedding(self, iris):
-        z1, e1 = dte1(iris, TreeConfig())
+        z1, e1 = dte_t(iris, TreeConfig(), 1, 0)
         z3, e3 = dte_t(iris, TreeConfig(), 3, seed=5)
         m1 = e3.leaf_counts[0]
         assert np.array_equal(z3[:, :m1], z1)
@@ -129,12 +129,13 @@ class TestDteT:
 
 class TestProject:
     def test_training_matrix_reproduces_fit_embedding(self, wine):
-        z, emb = dte_t(wine, TreeConfig(), 3, seed=2)
-        again = project(emb, wine.features)
-        assert np.allclose(again, z, rtol=1e-12)
+        for t in (1, 3):
+            z, emb = dte_t(wine, TreeConfig(), t, seed=2)
+            assert fit_embedding(wine, TreeConfig(), t, seed=2).to_dict() == emb.to_dict()
+            assert np.array_equal(project(emb, wine.features), z)
 
     def test_zero_rows_map_to_intercept(self, sim100):
-        _, emb = dte1(sim100, TreeConfig())
+        _, emb = dte_t(sim100, TreeConfig(), 1, 0)
         out = project(emb, np.zeros((4, emb.p)))
         assert np.array_equal(out, np.tile(emb.intercept, (4, 1)))
 
@@ -160,7 +161,7 @@ class TestProject:
         assert np.array_equal(np.hstack(blocks), project(emb, X))
 
     def test_dimension_mismatch(self, sim100):
-        _, emb = dte1(sim100, TreeConfig())
+        _, emb = dte_t(sim100, TreeConfig(), 1, 0)
         with pytest.raises(ValueError):
             project(emb, np.zeros((3, emb.p + 1)))
 
@@ -200,7 +201,7 @@ class TestSerialization:
         assert np.array_equal(again.intercept, emb.intercept)
 
     def test_flipped_intercept_shifts_projection_by_constant(self, sim100):
-        _, emb = dte1(sim100, TreeConfig())
+        _, emb = dte_t(sim100, TreeConfig(), 1, 0)
         flipped = dataclasses.replace(emb, intercept=-emb.intercept)
         delta = project(flipped, sim100.features) - project(emb, sim100.features)
         assert np.allclose(delta, delta[0], rtol=0, atol=1e-12)

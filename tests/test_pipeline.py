@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,17 @@ class TestFitPredict:
                 lda_z = fit_lda(project(emb, train.features), train.labels)
                 assert np.array_equal(predict(clf, test.features),
                                       predict_lda(lda_z, project(emb, test.features)))
+
+    def test_fit_allocates_no_rows_by_anchors_matrix(self):
+        # Z = X W^T + b alone would take n * m * 8 bytes; the fit needs only W
+        train = _deep_mixture()[0].subset(np.arange(10_000))
+        tracemalloc.start()
+        try:
+            clf = fit(train, TreeConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < train.n * clf.embedding.m * 8 / 2
 
     def test_lda_dim_must_match_embedding(self, iris):
         clf = fit(iris, TreeConfig())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dte import DecisionTree, TreeConfig, fit_tree, from_arrays, predict_tree
+from dte import DecisionTree, TreeConfig, fit_tree, from_arrays
 from dte.oracle import sample_mixture, three_cluster_spec
 from dte.tree import LeafNode, SplitNode
 
@@ -132,7 +132,7 @@ class TestPredict:
 
     def test_module_level_alias(self, iris):
         tree = fit_tree(iris, TreeConfig())
-        assert np.array_equal(predict_tree(tree, iris.features),
+        assert np.array_equal([tree.predict(x) for x in iris.features],
                               tree.predict(iris.features))
 
 
