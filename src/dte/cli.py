@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .data import Column, DataError, load_csv, load_features, source_columns
-from .embed import Embedding, anchor_intercept, project
+from .embed import Embedding, project
 from .lda import LdaModel, fit_lda, predict_lda
 from .oracle import (nearest_mean_instance, oracle_embedding,
                      random_discrete_instance, sample_mixture,
@@ -26,7 +26,7 @@ from .oracle import (nearest_mean_instance, oracle_embedding,
 from .pipeline import cross_validate, fit, predict
 from .tree import TreeConfig
 
-MODEL_FORMAT_VERSION = 2  # version 1 held an m-wide LDA over the anchors
+MODEL_FORMAT_VERSION = 3  # 2 nested the trees; 1 held an m-wide LDA over the anchors
 
 
 def _default_seed() -> int:
@@ -56,8 +56,6 @@ def cmd_train(args) -> int:
     model = {
         "format_version": MODEL_FORMAT_VERSION,
         "package_version": __version__,
-        "config": cfg.to_dict(),
-        "t": args.trees,
         "seed": seed,
         "label_column": ds.label_column,
         "label_names": list(ds.label_names),
@@ -84,6 +82,8 @@ def cmd_train(args) -> int:
 def _load_model(path):
     with open(path, encoding="utf-8") as fh:
         model = json.load(fh)
+    if not isinstance(model, dict):
+        raise DataError(f"{path}: malformed model (the top level is not a JSON object)")
     version = model.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"{path}: model format version {version} is not supported "
@@ -92,6 +92,9 @@ def _load_model(path):
     try:
         emb = Embedding.from_dict(model["embedding"])
         lda = LdaModel.from_dict(model["lda"])
+        if lda.means.ndim != 2 or lda.log_priors.shape != lda.means.shape[:1]:
+            raise ValueError(f"lda means {lda.means.shape} and log_priors "
+                             f"{lda.log_priors.shape} are not (K, p) and (K,)")
         schema = tuple(Column.from_dict(c) for c in model["schema"])
         names = model["label_names"]
         if type(model["has_header"]) is not bool or type(model["label_column"]) is not str:
@@ -106,24 +109,14 @@ def _load_model(path):
 
 def _check_model(path, emb: Embedding, lda: LdaModel) -> None:
     """Reject a model whose parts disagree, before any of them is used."""
-    arrays = {"W": emb.anchors, "b": emb.intercept, "lda means": lda.means,
+    arrays = {"W": emb.anchors, "lda means": lda.means,
               "lda cov_pinv": lda.cov_pinv, "lda log_priors": lda.log_priors}
     bad = [name for name, a in arrays.items() if not np.all(np.isfinite(a))]
     if bad:
         raise DataError(f"{path}: non-finite values in {', '.join(bad)}")
-    if lda.means.ndim != 2 or lda.log_priors.shape != (lda.n_classes,):
-        raise DataError(f"{path}: lda means {lda.means.shape} and log_priors "
-                        f"{lda.log_priors.shape} are not (K, p) and (K,)")
     if lda.dim != emb.p or lda.cov_pinv.shape != (emb.p, emb.p):
         raise DataError(f"{path}: LDA dimension {lda.dim} does not match "
                         f"the {emb.p} features")
-    leaves = [tree.n_leaves for tree in emb.trees]
-    if leaves != list(emb.leaf_counts):
-        raise DataError(f"{path}: leaf_counts {list(emb.leaf_counts)} do not match "
-                        f"the trees' leaves {leaves}")
-    # JSON round-trips floats exactly, so the saved intercept is bit-equal
-    if not np.array_equal(emb.intercept, anchor_intercept(emb.anchors)):
-        raise DataError(f"{path}: intercept b is not -||W||^2 / 2")
 
 
 def cmd_predict(args) -> int:

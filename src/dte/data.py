@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +39,12 @@ class Column:
 
     @staticmethod
     def from_dict(d: dict) -> "Column":
-        return Column(d["name"], d["kind"], d.get("source"), d.get("category"))
+        col = Column(d["name"], d["kind"], d.get("source"), d.get("category"))
+        if col.kind != "numeric" and (col.kind, type(col.source), type(col.category)) != (
+                "onehot", str, str):
+            raise ValueError(f"column {col.name!r}: kind must be numeric, or onehot "
+                             f"with a string source and category")
+        return col
 
 
 @dataclass(frozen=True)
@@ -323,7 +327,6 @@ class FoldPlan:
 
     assignments: np.ndarray
     folds: int
-    seed: int
 
     def __post_init__(self):
         a = np.asarray(self.assignments, dtype=np.int64)
@@ -342,14 +345,6 @@ class FoldPlan:
 
     def train_rows(self, replicate: int, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments[replicate] != fold)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "replicates": self.replicates,
-            "folds": self.folds,
-            "seed": self.seed,
-            "assignments": self.assignments.tolist(),
-        })
 
 
 def stratified_folds(ds: Dataset, replicates: int, folds: int, seed: int) -> FoldPlan:
@@ -371,7 +366,7 @@ def stratified_folds(ds: Dataset, replicates: int, folds: int, seed: int) -> Fol
             idx = rng.permutation(np.flatnonzero(ds.labels == c))
             assignments[r, idx] = (start + np.arange(idx.size)) % folds
             start = (start + idx.size) % folds
-    return FoldPlan(assignments, folds, seed)
+    return FoldPlan(assignments, folds)
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,6 @@ import numpy as np
 from .data import Dataset, bootstrap
 from .tree import DecisionTree, TreeConfig, fit_tree_arrays
 
-EMBEDDING_FORMAT_VERSION = 1
-
-
 @dataclass(frozen=True)
 class Embedding:
     """Anchor matrix, intercept, and the trees they came from.
@@ -58,21 +55,15 @@ class Embedding:
         return len(self.leaf_counts)
 
     def to_dict(self) -> dict:
-        return {
-            "version": EMBEDDING_FORMAT_VERSION,
-            "t": self.n_trees,
-            "leaf_counts": list(self.leaf_counts),
-            "W": self.anchors.tolist(),
-            "b": self.intercept.tolist(),
-            "trees": [tree.to_dict() for tree in self.trees],
-        }
+        """The anchors and the trees; `from_dict` derives the intercept and leaf counts."""
+        return {"W": self.anchors.tolist(), "trees": [tree.to_dict() for tree in self.trees]}
 
     @staticmethod
     def from_dict(d: dict) -> "Embedding":
-        return Embedding(np.asarray(d["W"], dtype=np.float64),
-                         np.asarray(d["b"], dtype=np.float64),
-                         tuple(d["leaf_counts"]),
-                         tuple(DecisionTree.from_dict(t) for t in d["trees"]))
+        anchors = np.asarray(d["W"], dtype=np.float64)
+        trees = tuple(DecisionTree.from_dict(t) for t in d["trees"])
+        return Embedding(anchors, anchor_intercept(anchors),
+                         tuple(tree.n_leaves for tree in trees), trees)
 
 
 def _leaf_means_arrays(X: np.ndarray, tree: DecisionTree) -> np.ndarray:

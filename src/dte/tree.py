@@ -129,32 +129,50 @@ class DecisionTree:
         return majorities[ids]
 
     def to_dict(self) -> dict:
-        def node_dict(node):
+        """The nodes in pre-order as flat lists, like scikit-learn's ``tree_``: ``feature``
+        per node (-1 at a leaf), ``threshold`` per split and ``histogram`` per leaf."""
+        feature, threshold, histogram = [], [], []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
             if isinstance(node, LeafNode):
-                return {"leaf_id": node.leaf_id, "histogram": node.histogram.tolist()}
-            return {"feature": node.feature, "threshold": node.threshold,
-                    "left": node_dict(node.left), "right": node_dict(node.right)}
+                feature.append(-1)
+                histogram.append(node.histogram.tolist())
+            else:
+                feature.append(node.feature)
+                threshold.append(node.threshold)
+                stack += [node.right, node.left]
         return {"n_features": self.n_features, "n_classes": self.n_classes,
-                "config": self.config.to_dict(), "root": node_dict(self.root)}
+                "config": self.config.to_dict(), "feature": feature,
+                "threshold": threshold, "histogram": histogram}
 
     @staticmethod
     def from_dict(d: dict) -> "DecisionTree":
-        leaves: list[LeafNode] = []
-
-        def build(nd):
-            if "leaf_id" in nd:
-                leaf = LeafNode(nd["leaf_id"], np.asarray(nd["histogram"], dtype=np.int64))
-                leaves.append(leaf)
-                return leaf
-            return SplitNode(nd["feature"], nd["threshold"],
-                             build(nd["left"]), build(nd["right"]))
-
-        root = build(d["root"])
-        leaves.sort(key=lambda lf: lf.leaf_id)
-        if [lf.leaf_id for lf in leaves] != list(range(len(leaves))):
-            raise ValueError("leaf ids must be 0..m-1 without gaps")
-        return DecisionTree(root, leaves, d["n_features"], d["n_classes"],
-                            TreeConfig.from_dict(d["config"]))
+        """Rebuild the nodes of ``to_dict``; rejects lists that are not exactly one tree."""
+        p, k = d["n_features"], d["n_classes"]
+        feature, threshold, histogram = (np.asarray(d[key]) for key in
+                                         ("feature", "threshold", "histogram"))
+        if feature.ndim != 1 or feature.dtype.kind != "i" or not np.all(
+                (feature >= -1) & (feature < p)):
+            raise ValueError(f"tree feature must be a list of -1 or 0..{p - 1}")
+        m = int(np.count_nonzero(feature < 0))
+        if feature.size != 2 * m - 1 or threshold.shape != (m - 1,) \
+                or threshold.dtype.kind not in "if" or not np.all(np.isfinite(threshold)):
+            raise ValueError("a tree of m leaves needs 2m - 1 nodes and m - 1 finite thresholds")
+        if histogram.shape != (m, k) or histogram.dtype.kind != "i" or np.any(histogram < 0):
+            raise ValueError(f"tree histogram must be {k} counts >= 0 per leaf")
+        # built from the last node back, so a split's subtrees exist before it
+        splits, counts = iter(threshold.tolist()[::-1]), iter(histogram[::-1])
+        built, leaves = [], []   # subtrees awaiting a parent, the next left child last
+        for f in reversed(feature.tolist()):
+            if f < 0:
+                leaves.append(LeafNode(m - 1 - len(leaves), next(counts)))
+                built.append(leaves[-1])
+            elif len(built) < 2:  # with 2m - 1 nodes, this is the only way to fail
+                raise ValueError("tree lists are not the pre-order of one tree")
+            else:
+                built.append(SplitNode(f, next(splits), built.pop(), built.pop()))
+        return DecisionTree(built[0], leaves[::-1], p, k, TreeConfig.from_dict(d["config"]))
 
 
 def fit_tree(ds: Dataset, cfg: TreeConfig = TreeConfig()) -> DecisionTree:

@@ -31,7 +31,9 @@ class TestTrain:
     def test_model_dimensions_consistent(self, iris_model, iris):
         model = json.loads(iris_model.read_text())
         m, p = len(model["embedding"]["W"]), len(model["embedding"]["W"][0])
-        assert model["embedding"]["leaf_counts"] == [m]
+        # W and the trees are saved; leaf counts and the intercept are derived on load
+        assert set(model["embedding"]) == {"W", "trees"}
+        assert model["embedding"]["trees"][0]["feature"].count(-1) == m
         # the LDA acts on the p features: no m-wide array is saved
         assert len(model["lda"]["means"][0]) == p
         assert np.shape(model["lda"]["cov_pinv"]) == (p, p)
@@ -181,6 +183,34 @@ class TestModelValidation:
         err = capsys.readouterr().err
         assert "version 1" in err and "retrain" in err
 
+    def test_version_2_model_asks_for_retraining(self, iris_model, tmp_path, capsys):
+        def edit(model):
+            model["format_version"] = 2
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        err = capsys.readouterr().err
+        assert "version 2" in err and "retrain" in err
+
+    @pytest.mark.parametrize("replace", [
+        lambda model: {**model, "lda": {**model["lda"], "means": 5}},
+        lambda model: [],
+    ], ids=["scalar-means", "top-level-list"])
+    def test_malformed_json_exits_2(self, iris_model, tmp_path, capsys, replace):
+        bad = tmp_path / "edited.json"
+        bad.write_text(json.dumps(replace(json.loads(iris_model.read_text()))))
+        assert run("predict", "--model", str(bad), "--data", IRIS,
+                   "--out", str(tmp_path / "p.csv")) == 2
+        assert "malformed model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", [
+        {"name": "sepal_length", "kind": "weird"},
+        {"name": "sepal_length", "kind": "onehot", "source": "sepal_length", "category": 5.1},
+    ], ids=["unknown-kind", "numeric-category"])
+    def test_bad_column_kind_exits_2(self, iris_model, tmp_path, capsys, column):
+        def edit(model):
+            model["schema"][0] = column
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        assert "'sepal_length': kind must be numeric, or onehot" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, edit", [
         ("log_priors", lambda model: model["lda"].pop("log_priors")),
         ("has_header", lambda model: model.pop("has_header")),
@@ -206,26 +236,19 @@ class TestModelValidation:
 
     def test_leaf_counts_must_sum_to_anchor_count(self, iris_model, tmp_path, capsys):
         def edit(model):
-            model["embedding"]["leaf_counts"][0] += 1
+            model["embedding"]["W"].pop()
         assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
-        assert "leaf_counts" in capsys.readouterr().err
+        assert "anchor count" in capsys.readouterr().err
 
-    def test_leaf_counts_must_match_each_tree(self, tmp_path, capsys):
+    def test_malformed_tree_exits_2(self, tmp_path, capsys):
         model_path = tmp_path / "m3.json"
         assert run("train", "--data", IRIS, "--label", "species", "--trees", "3",
                    "--out", str(model_path)) == 0
 
         def edit(model):
-            counts = model["embedding"]["leaf_counts"]
-            counts[0], counts[1] = counts[0] + 1, counts[1] - 1
+            model["embedding"]["trees"][1]["histogram"].pop()
         assert self.predict_with_edit(model_path, tmp_path, edit) == 2
-        assert "do not match the trees" in capsys.readouterr().err
-
-    def test_intercept_must_be_half_negative_squared_norm(self, iris_model, tmp_path, capsys):
-        def edit(model):
-            model["embedding"]["b"][0] = np.nextafter(model["embedding"]["b"][0], 0.0)
-        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
-        assert "intercept" in capsys.readouterr().err
+        assert "tree histogram" in capsys.readouterr().err
 
     def test_arrays_must_be_finite(self, iris_model, tmp_path, capsys):
         def edit(model):

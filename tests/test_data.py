@@ -156,13 +156,6 @@ class TestStratifiedFolds:
         with pytest.raises(DataError, match="'2'"):
             stratified_folds(ds, 1, 5, seed=0)
 
-    def test_json_audit(self, iris):
-        import json
-        plan = stratified_folds(iris, 1, 5, seed=0)
-        blob = json.loads(plan.to_json())
-        assert blob["folds"] == 5
-        assert np.array_equal(np.asarray(blob["assignments"]), plan.assignments)
-
 
 class TestBootstrap:
     def test_single_row(self):

@@ -225,14 +225,41 @@ class TestSerialization:
                             TreeConfig(min_leaf_size=1, num_bins=2))
             saved.add(json.dumps(tree.to_dict()))
         assert len(saved) == 1
-        assert '"threshold": 0.0,' in saved.pop()
+        assert '"threshold": [0.0]' in saved.pop()
 
-    def test_bad_leaf_ids_rejected(self):
-        with pytest.raises(ValueError, match="leaf ids"):
-            DecisionTree.from_dict({
-                "n_features": 1, "n_classes": 2,
-                "config": TreeConfig().to_dict(),
-                "root": {"feature": 0, "threshold": 0.5,
-                         "left": {"leaf_id": 0, "histogram": [1, 0]},
-                         "right": {"leaf_id": 2, "histogram": [0, 1]}},
-            })
+    def test_deep_tree_round_trips(self):
+        # a depth-1538 tree, deeper than Python's default recursion limit of 1000
+        x = np.arange(4000, dtype=np.float64)[:, None]
+        tree = fit_tree(from_arrays(x, np.arange(4000) % 2 + 1),
+                        TreeConfig(min_leaf_size=1, num_bins=1000))
+        again = DecisionTree.from_dict(json.loads(json.dumps(tree.to_dict())))
+        assert again.to_dict() == tree.to_dict()
+        assert np.array_equal(again.apply(x), tree.apply(x))
+
+    VALID = {"n_features": 1, "n_classes": 2, "config": TreeConfig().to_dict(),
+             "feature": [0, -1, 0, -1, -1], "threshold": [0.5, 1.5],
+             "histogram": [[1, 0], [0, 1], [1, 1]]}
+
+    def test_flat_lists_load_in_pre_order(self):
+        tree = DecisionTree.from_dict(self.VALID)
+        assert tree.to_dict() == self.VALID
+        assert [leaf.histogram.tolist() for leaf in tree.leaves] == self.VALID["histogram"]
+        assert tree.apply(np.array([[0.0], [1.0], [2.0]])).tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("feature", [0, -1, -1, -1], "2m - 1 nodes"),
+        ("feature", [1, -1, 0, -1, -1], "feature"),
+        ("feature", [0.0, -1, 0, -1, -1], "feature"),
+        ("feature", [-1, -1, 0, 0, -1], "not the pre-order of one tree"),
+        ("threshold", [0.5], "m - 1 finite thresholds"),
+        ("threshold", [0.5, float("nan")], "finite thresholds"),
+        ("histogram", [[1, 0], [0, 1]], "histogram"),
+        ("histogram", [[1, 0], [0, -1], [1, 1]], "histogram"),
+        ("histogram", [[1, 0], [0, 1.5], [1, 1]], "histogram"),
+        ("histogram", [[1, 0, 0], [0, 1, 0], [1, 1, 0]], "histogram"),
+    ], ids=["extra-leaf", "feature-out-of-range", "float-feature", "nodes-left-over",
+            "short-threshold", "nan-threshold", "short-histogram", "negative-count",
+            "float-count", "wide-histogram"])
+    def test_malformed_lists_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            DecisionTree.from_dict({**self.VALID, key: value})

@@ -1,10 +1,12 @@
 """Golden trees: fitted trees must stay byte-identical across rewrites of the grower.
 
-Each case pins the SHA-256 of ``json.dumps(tree.to_dict())`` (structure,
-features, thresholds, histograms) and of the training rows each leaf holds
-(routed by ``apply``; ascending within a leaf, leaves in id order). The pins
-were taken from the per-node reference implementation the level-wise grower
-replaced, so any change to a split, a threshold bit, the leaf numbering or a
+Each case pins the SHA-256 of ``json.dumps(nested(tree.to_dict()))``
+(structure, features, thresholds, histograms) and of the training rows each
+leaf holds (routed by ``apply``; ascending within a leaf, leaves in id
+order). The pins were taken from the per-node reference implementation the
+level-wise grower replaced, when ``to_dict`` still nested the nodes; ``nested``
+rebuilds that form from the flat pre-order lists, so the pins cover every
+saved value. Any change to a split, a threshold bit, the leaf numbering or a
 leaf's rows fails here. Regenerate them only for a deliberate change of the
 split rule:
 
@@ -119,9 +121,27 @@ def _cases():
 CASES = _cases()
 
 
+def nested(flat: dict) -> dict:
+    """The nested form ``to_dict`` had when the pins were taken, from its flat
+    pre-order lists: a split is {feature, threshold, left, right}, a leaf
+    {leaf_id, histogram}. Iterative, so any depth converts."""
+    thresholds, histograms = iter(flat["threshold"]), iter(flat["histogram"])
+    out = {key: flat[key] for key in ("n_features", "n_classes", "config")}
+    slots, leaf_id = [(out, "root")], 0
+    for f in flat["feature"]:
+        parent, key = slots.pop()
+        if f < 0:
+            parent[key] = {"leaf_id": leaf_id, "histogram": next(histograms)}
+            leaf_id += 1
+        else:
+            parent[key] = node = {"feature": f, "threshold": next(thresholds)}
+            slots += [(node, "right"), (node, "left")]
+    return out
+
+
 def tree_digests(tree, X) -> tuple[str, str]:
-    """SHA-256 of the tree's JSON and of the rows of X its leaves receive."""
-    text = json.dumps(tree.to_dict()).encode()
+    """SHA-256 of the tree's nested JSON and of the rows of X its leaves receive."""
+    text = json.dumps(nested(tree.to_dict())).encode()
     rows = np.argsort(tree.apply(X), kind="stable").astype(np.int64)
     return hashlib.sha256(text).hexdigest(), hashlib.sha256(rows.tobytes()).hexdigest()
 
