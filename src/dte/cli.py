@@ -23,15 +23,14 @@ from .lda import LdaModel, fit_lda, predict_lda
 from .oracle import (nearest_mean_instance, oracle_embedding,
                      random_discrete_instance, sample_mixture,
                      three_cluster_spec, verify_instance)
-from .pipeline import cross_validate, fit, predict
+from .pipeline import DteClassifier, cross_validate, fit, predict
 from .tree import TreeConfig
 
 MODEL_FORMAT_VERSION = 3  # 2 nested the trees; 1 held an m-wide LDA over the anchors
 
 
-def _default_seed() -> int:
-    env = os.environ.get("DTE_SEED")
-    return int(env) if env else 42
+def _default_seed() -> str:
+    return os.environ.get("DTE_SEED") or "42"  # text: argparse applies type=int to it
 
 
 def _tree_config(args) -> TreeConfig:
@@ -44,19 +43,17 @@ def _add_tree_flags(p):
     p.add_argument("--bins", type=int, default=30,
                    help="equiprobable bins for split candidates")
     p.add_argument("--max-depth", type=int, default=None, help="depth cap (default none)")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=int, default=_default_seed(),
                    help="RNG seed (default 42, or env DTE_SEED)")
 
 
 def cmd_train(args) -> int:
     ds = load_csv(args.data, args.label, has_header=args.header)
-    cfg = _tree_config(args)
-    seed = args.seed if args.seed is not None else _default_seed()
-    clf = fit(ds, cfg, t=args.trees, seed=seed)
+    clf = fit(ds, _tree_config(args), t=args.trees, seed=args.seed)
     model = {
         "format_version": MODEL_FORMAT_VERSION,
         "package_version": __version__,
-        "seed": seed,
+        "seed": args.seed,
         "label_column": ds.label_column,
         "label_names": list(ds.label_names),
         "schema": [c.to_dict() for c in ds.schema],
@@ -91,52 +88,37 @@ def _load_model(path):
                         f"retrain the model with dte train")
     try:
         emb = Embedding.from_dict(model["embedding"])
-        lda = LdaModel.from_dict(model["lda"])
-        if lda.means.ndim != 2 or lda.log_priors.shape != lda.means.shape[:1]:
-            raise ValueError(f"lda means {lda.means.shape} and log_priors "
-                             f"{lda.log_priors.shape} are not (K, p) and (K,)")
+        clf = DteClassifier(emb, LdaModel.from_dict(model["lda"]), emb.trees[0].config,
+                            emb.n_trees, model.get("seed"))
         schema = tuple(Column.from_dict(c) for c in model["schema"])
         names = model["label_names"]
         if type(model["has_header"]) is not bool or type(model["label_column"]) is not str:
             raise TypeError("has_header must be a bool and label_column a str")
-        if type(names) is not list or list(map(type, names)) != [str] * lda.n_classes:
-            raise ValueError(f"label_names must be a list of {lda.n_classes} strings")
-    except (KeyError, TypeError, ValueError) as exc:
+        if type(names) is not list or list(map(type, names)) != [str] * clf.lda.n_classes:
+            raise ValueError(f"label_names must be a list of {clf.lda.n_classes} strings")
+    except (LookupError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model ({type(exc).__name__}: {exc})") from None
-    _check_model(path, emb, lda)
-    return model, schema, lda
-
-
-def _check_model(path, emb: Embedding, lda: LdaModel) -> None:
-    """Reject a model whose parts disagree, before any of them is used."""
-    arrays = {"W": emb.anchors, "lda means": lda.means,
-              "lda cov_pinv": lda.cov_pinv, "lda log_priors": lda.log_priors}
-    bad = [name for name, a in arrays.items() if not np.all(np.isfinite(a))]
-    if bad:
-        raise DataError(f"{path}: non-finite values in {', '.join(bad)}")
-    if lda.dim != emb.p or lda.cov_pinv.shape != (emb.p, emb.p):
-        raise DataError(f"{path}: LDA dimension {lda.dim} does not match "
-                        f"the {emb.p} features")
+    return model, schema, clf
 
 
 def cmd_predict(args) -> int:
-    model, schema, lda = _load_model(args.model)
+    model, schema, clf = _load_model(args.model)
     X = load_features(args.data, schema, model["has_header"])
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow([model["label_column"]])
-        w.writerows(zip(map(model["label_names"].__getitem__, (predict_lda(lda, X) - 1).tolist())))
+        w.writerows(zip(map(model["label_names"].__getitem__, (predict_lda(clf.lda, X) - 1).tolist())))
     return 0
 
 
 def cmd_benchmark(args) -> int:
-    ds = load_csv(args.data, args.label, has_header=args.header)
-    cfg = _tree_config(args)
-    seed = args.seed if args.seed is not None else _default_seed()
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ValueError(f"--methods {args.methods!r} names no method")
+    ds = load_csv(args.data, args.label, has_header=args.header)
     Path(args.out_prefix).parent.mkdir(parents=True, exist_ok=True)
     reports = cross_validate(ds, methods, replicates=args.replicates,
-                             folds=args.folds, seed=seed, cfg=cfg)
+                             folds=args.folds, seed=args.seed, cfg=_tree_config(args))
     name = Path(args.data).stem
 
     csv_path = f"{args.out_prefix}.csv"
@@ -148,7 +130,7 @@ def cmd_benchmark(args) -> int:
             w.writerows(rep.rows(name))
 
     summary = {"dataset": name, "n": ds.n, "p": ds.p, "k": ds.n_classes,
-               "replicates": args.replicates, "folds": args.folds, "seed": seed,
+               "replicates": args.replicates, "folds": args.folds, "seed": args.seed,
                "methods": [rep.to_dict() for rep in reports]}
     with open(f"{args.out_prefix}.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
@@ -160,18 +142,19 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     spec = three_cluster_spec(sigma=args.sigma)
     cfg = _tree_config(args)
 
     records = []
     dump_done = False
     for r in range(args.repeats):
-        train_seed, test_seed = np.random.SeedSequence([seed, r]).spawn(2)
+        train_seed, test_seed = np.random.SeedSequence([args.seed, r]).spawn(2)
         train, comps = sample_mixture(spec, args.n, train_seed, return_components=True)
         test = sample_mixture(spec, args.n_test, test_seed)
 
-        clf = fit(train, cfg, t=args.trees, seed=np.random.SeedSequence([seed, r, 7]))
+        clf = fit(train, cfg, t=args.trees, seed=np.random.SeedSequence([args.seed, r, 7]))
         z_train_acc = float(np.mean(predict(clf, train.features) == train.labels))
         z_test_acc = float(np.mean(predict(clf, test.features) == test.labels))
 
@@ -196,7 +179,7 @@ def cmd_simulate(args) -> int:
     mean = {key: float(np.mean([rec[key] for rec in records]))
             for key in ("train_acc", "test_acc", "oracle_train_acc", "oracle_test_acc")}
     report = {"n": args.n, "n_test": args.n_test, "sigma": args.sigma,
-              "trees": args.trees, "seed": seed, "repeats": args.repeats,
+              "trees": args.trees, "seed": args.seed, "repeats": args.repeats,
               "mean": mean, "runs": records}
     text = json.dumps(report, indent=2)
     if args.out:
@@ -206,17 +189,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify_theory(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    if args.instances < 1:
+        raise ValueError(f"--instances must be >= 1, got {args.instances}")
     records = []
     failures = 0
     for i in range(args.instances):
         if args.epsilon_zero:
-            joint, part = random_discrete_instance([seed, i], homogeneous=True)
+            joint, part = random_discrete_instance([args.seed, i], homogeneous=True)
         elif i % 2 == 0:
-            joint, part = random_discrete_instance([seed, i])
+            joint, part = random_discrete_instance([args.seed, i])
         else:
-            joint, part = nearest_mean_instance([seed, i], pure=(i % 4 == 3))
-        rec = verify_instance(joint, part, instance_seed=[seed, i])
+            joint, part = nearest_mean_instance([args.seed, i], pure=(i % 4 == 3))
+        rec = verify_instance(joint, part, instance_seed=[args.seed, i])
         records.append(rec)
         bad_bound = not rec["bound_ok"]
         bad_zero = args.epsilon_zero and rec["deviation"] != 0.0
@@ -289,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=200)
     p.add_argument("--epsilon-zero", action="store_true",
                    help="use only homogeneous instances (deviation must be 0)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=_default_seed(),
+                   help="RNG seed (default 42, or env DTE_SEED)")
     p.add_argument("--out", help="write per-instance reports JSON here")
     p.set_defaults(func=cmd_verify_theory)
     return parser

@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset, bootstrap
 from .tree import DecisionTree, TreeConfig, fit_tree_arrays
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Embedding:
     """Anchor matrix, intercept, and the trees they came from.
 
@@ -41,6 +41,11 @@ class Embedding:
             raise ValueError("anchors must be (m, p) with one intercept per row")
         if sum(self.leaf_counts) != self.anchors.shape[0]:
             raise ValueError("leaf_counts must sum to the anchor count")
+        if not np.all(np.isfinite(self.anchors)):
+            raise ValueError("non-finite values in W")
+        if any((tree.n_features, tree.n_classes) != (self.p, self.trees[0].n_classes)
+               for tree in self.trees):
+            raise ValueError(f"every tree must read W's {self.p} columns and share one class count")
 
     @property
     def m(self) -> int:

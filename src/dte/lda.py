@@ -13,16 +13,24 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LdaModel:
     means: np.ndarray       # (K, d) per-class means
     cov_pinv: np.ndarray    # (d, d) pseudoinverse of the pooled covariance
     log_priors: np.ndarray  # (K,)
 
     def __post_init__(self):
-        object.__setattr__(self, "means", np.asarray(self.means, dtype=np.float64))
-        object.__setattr__(self, "cov_pinv", np.asarray(self.cov_pinv, dtype=np.float64))
-        object.__setattr__(self, "log_priors", np.asarray(self.log_priors, dtype=np.float64))
+        names = ("means", "cov_pinv", "log_priors")
+        for name in names:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        shapes = tuple(getattr(self, name).shape for name in names)
+        k, d = shapes[0] if len(shapes[0]) == 2 else (0, 0)
+        if d < 1 or shapes[1:] != ((d, d), (k,)):
+            raise ValueError(f"lda means, cov_pinv and log_priors have shapes {shapes}, "
+                             f"not (K, d), (d, d) and (K,) with d >= 1")
+        bad = [name for name in names if not np.all(np.isfinite(getattr(self, name)))]
+        if bad:
+            raise ValueError(f"non-finite values in lda {', '.join(bad)}")
 
     @property
     def n_classes(self) -> int:

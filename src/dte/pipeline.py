@@ -15,7 +15,7 @@ from .lda import LdaModel, fit_lda, predict_lda
 from .tree import TreeConfig, fit_tree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DteClassifier:
     """Embedding plus the LDA rule, which acts on the input features x."""
 
@@ -28,6 +28,8 @@ class DteClassifier:
     def __post_init__(self):
         if self.lda.dim != self.embedding.p:
             raise ValueError("LDA dimension must equal the embedding's feature count")
+        if any(tree.n_classes != self.lda.n_classes for tree in self.embedding.trees):
+            raise ValueError(f"LDA class count {self.lda.n_classes} must equal the trees' class count")
 
 
 def fit(ds_train: Dataset, cfg: TreeConfig = TreeConfig(), t: int = 1, seed=0) -> DteClassifier:

@@ -55,7 +55,7 @@ class TreeConfig:
         return TreeConfig(d["min_leaf_size"], d["num_bins"], d.get("max_depth"))
 
 
-@dataclass
+@dataclass(repr=False, eq=False)  # generated repr and == would recurse once per level
 class SplitNode:
     feature: int
     threshold: float
@@ -63,7 +63,7 @@ class SplitNode:
     right: Union["SplitNode", "LeafNode", None] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class LeafNode:
     leaf_id: int
     histogram: np.ndarray          # class counts, index c-1 -> class c; rows are not kept
@@ -78,7 +78,7 @@ class LeafNode:
         return int(self.histogram.sum())
 
 
-@dataclass
+@dataclass(eq=False)
 class DecisionTree:
     root: Union[SplitNode, LeafNode]
     leaves: list[LeafNode]         # position j holds the leaf with leaf_id j

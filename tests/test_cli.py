@@ -250,6 +250,20 @@ class TestModelValidation:
         assert self.predict_with_edit(model_path, tmp_path, edit) == 2
         assert "tree histogram" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("features, classes, message", [
+        (7, 3, "every tree must read W's 4 columns"),
+        (4, 5, "LDA class count 3 must equal the trees' class count"),
+    ], ids=["tree-width", "tree-class-count"])
+    def test_tree_must_match_w_and_lda(self, iris_model, tmp_path, capsys,
+                                       features, classes, message):
+        def edit(model):
+            tree = model["embedding"]["trees"][0]
+            tree.update(n_features=features, n_classes=classes)
+            tree["histogram"] = [h + [0] * (classes - 3) for h in tree["histogram"]]
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        err = capsys.readouterr().err
+        assert "malformed model" in err and message in err
+
     def test_arrays_must_be_finite(self, iris_model, tmp_path, capsys):
         def edit(model):
             model["lda"]["cov_pinv"][0][0] = float("nan")
@@ -369,10 +383,30 @@ class TestVerifyTheory:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--repeats", "0"], "--repeats must be >= 1, got 0"),
+        (["verify-theory", "--instances", "-3"], "--instances must be >= 1, got -3"),
+        (["benchmark", "--data", IRIS, "--label", "species", "--methods", " , "],
+         "--methods ' , ' names no method"),
+    ], ids=["simulate-repeats", "verify-instances", "benchmark-methods"])
+    def test_counts_below_one_exit_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        flag = "--out-prefix" if argv[0] == "benchmark" else "--out"
+        assert run(*argv, flag, str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", IRIS])  # missing required flags
         assert exc.value.code == 2
+
+    def test_malformed_env_seed_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("DTE_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-theory", "--instances", "1"])
+        assert exc.value.code == 2
+        assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
 
     def test_unreadable_file_exits_2(self, tmp_path):
         assert run("train", "--data", str(tmp_path / "nope.csv"),

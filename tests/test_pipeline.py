@@ -1,12 +1,14 @@
 import dataclasses
+import json
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dte import (DteClassifier, TreeConfig, cross_validate, fit, fit_lda,
-                 from_arrays, load_csv, predict, predict_lda, project, timing_sweep)
+from dte import (DteClassifier, Embedding, LdaModel, TreeConfig, cross_validate, fit,
+                 fit_lda, from_arrays, load_csv, predict, predict_lda, project,
+                 timing_sweep)
 from dte.data import stratified_folds
 from dte.oracle import sample_mixture, three_cluster_spec
 
@@ -72,6 +74,43 @@ class TestFitPredict:
                           np.r_[np.ones(15, int), np.full(15, 2)])
         with pytest.raises(ValueError, match="dimension"):
             DteClassifier(clf.embedding, bad_lda, clf.config, 1, 0)
+
+    def test_equality_is_identity(self, iris):
+        # generated == would compare arrays elementwise and raise
+        clf = fit(iris, TreeConfig())
+        assert clf == clf and clf != fit(iris, TreeConfig())
+
+
+def _widen(tree, k):
+    tree.update(n_classes=k, histogram=[h + [0] * (k - len(h)) for h in tree["histogram"]])
+
+
+class TestLoadedParts:
+    """A classifier rebuilt from its saved parts is checked as it is built."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda emb, lda: lda["cov_pinv"][0].__setitem__(0, float("nan")),
+         "non-finite values in lda cov_pinv"),
+        (lambda emb, lda: lda.update(log_priors=lda["log_priors"][:1]), "log_priors"),
+        (lambda emb, lda: lda.update(means=lda["means"][0]), "log_priors"),
+        (lambda emb, lda: emb["W"][0].__setitem__(0, float("inf")), "non-finite values in W"),
+        (lambda emb, lda: emb["trees"][0].update(n_features=7), "W's 4 columns"),
+        (lambda emb, lda: _widen(emb["trees"][1], 4), "one class count"),
+        (lambda emb, lda: [_widen(tree, 4) for tree in emb["trees"]], "LDA class count 3"),
+    ], ids=["nan-cov_pinv", "short-log_priors", "1d-means", "inf-W", "wide-tree",
+            "trees-disagree", "lda-class-count"])
+    def test_inconsistent_parts_rejected(self, iris, edit, message):
+        clf = fit(iris, TreeConfig(), t=3)
+        emb, lda = json.loads(json.dumps([clf.embedding.to_dict(), clf.lda.to_dict()]))
+        edit(emb, lda)
+        with pytest.raises(ValueError, match=message):
+            DteClassifier(Embedding.from_dict(emb), LdaModel.from_dict(lda), clf.config, 3, 0)
+
+    def test_round_trip_predicts_alike(self, iris):
+        clf = fit(iris, TreeConfig(), t=3)
+        again = DteClassifier(Embedding.from_dict(clf.embedding.to_dict()),
+                              LdaModel.from_dict(clf.lda.to_dict()), clf.config, 3, 0)
+        assert np.array_equal(predict(again, iris.features), predict(clf, iris.features))
 
 
 def _split(ds, seed=0):

@@ -227,14 +227,23 @@ class TestSerialization:
         assert len(saved) == 1
         assert '"threshold": [0.0]' in saved.pop()
 
-    def test_deep_tree_round_trips(self):
-        # a depth-1538 tree, deeper than Python's default recursion limit of 1000
+    @pytest.fixture(scope="class")
+    def deep_tree(self):
+        """A depth-1538 tree, deeper than Python's default recursion limit of 1000."""
         x = np.arange(4000, dtype=np.float64)[:, None]
-        tree = fit_tree(from_arrays(x, np.arange(4000) % 2 + 1),
-                        TreeConfig(min_leaf_size=1, num_bins=1000))
+        return x, fit_tree(from_arrays(x, np.arange(4000) % 2 + 1),
+                           TreeConfig(min_leaf_size=1, num_bins=1000))
+
+    def test_deep_tree_round_trips(self, deep_tree):
+        x, tree = deep_tree
         again = DecisionTree.from_dict(json.loads(json.dumps(tree.to_dict())))
         assert again.to_dict() == tree.to_dict()
         assert np.array_equal(again.apply(x), tree.apply(x))
+
+    def test_deep_tree_repr_and_equality_do_not_recurse(self, deep_tree):
+        _, tree = deep_tree
+        assert repr(tree).startswith("DecisionTree(")
+        assert tree == tree and tree != DecisionTree.from_dict(tree.to_dict())  # identity
 
     VALID = {"n_features": 1, "n_classes": 2, "config": TreeConfig().to_dict(),
              "feature": [0, -1, 0, -1, -1], "threshold": [0.5, 1.5],
