@@ -4,7 +4,9 @@ Each case pins the SHA-256 of ``json.dumps(nested(tree.to_dict()))``
 (structure, features, thresholds, histograms) and of the training rows each
 leaf holds (routed by ``apply``; ascending within a leaf, leaves in id
 order). The pins were taken from the per-node reference implementation the
-level-wise grower replaced, when ``to_dict`` still nested the nodes; ``nested``
+level-wise grower replaced (``deep-tied`` from the level-wise grower before
+its tied-candidate search moved to row ids), when ``to_dict`` still nested
+the nodes; ``nested``
 rebuilds that form from the flat pre-order lists, so the pins cover every
 saved value. Any change to a split, a threshold bit, the leaf numbering or a
 leaf's rows fails here. Regenerate them only for a deliberate change of the
@@ -48,6 +50,16 @@ def _deep_mixture():
     comp = rng.integers(0, 6, size=20_000)
     X = means[comp] + rng.standard_normal((20_000, 10))
     return X, np.array([1, 2, 3, 1, 2, 3])[comp], 3
+
+
+def _deep_tied():
+    """6000 rows of ten components owned by five classes, rounded to one
+    decimal, so most candidates of every level fall on a run of tied values."""
+    means = np.random.default_rng(20251203).normal(scale=1.5, size=(10, 6))
+    rng = np.random.default_rng([7, 3])
+    comp = rng.integers(0, 10, size=6_000)
+    X = np.round(means[comp] + rng.standard_normal((6_000, 6)), 1)
+    return X, comp % 5 + 1, 5
 
 
 def _shallow_separated():
@@ -108,6 +120,7 @@ def _cases():
             cases[f"{name}-bootstrap/{tag}"] = (lambda n=name, lb=label: _resampled(n, lb), cfg)
     default = (10, 30, None)
     cases["deep-mixture"] = (_deep_mixture, default)
+    cases["deep-tied"] = (_deep_tied, (2, 30, None))
     cases["shallow-separated"] = (_shallow_separated, default)
     cases["constant-column"] = (_constant_column, (2, 30, None))
     cases["tied-features"] = (_tied_features, (2, 30, None))
@@ -173,6 +186,8 @@ PINS = {
         "65b952dbb79aa32a87e3132366b55075a1fb78d78ff9bdd703d9264e15156215"),  # 7 leaves
     "deep-mixture": ("440db83f076fb218e3d520ff8065863e9b49024a1e999d00b33012020d01e0ee",
         "e10c7d086763cfe6127712d04279c8e4fee38860760ea25e989da828c477e44a"),  # 522 leaves
+    "deep-tied": ("60b14cb495f068d21f9a1216e51dd57116236db6e1df519730412160ac9a5e39",
+        "dd11d69b28dc29689a0b368ba80a2d2db091e7a8f14cf3b2c782188d15179992"),  # 612 leaves
     "iris-bootstrap/1-2-None": ("916c27ac6c33c5a01f8fcda1967256d46e9ce75bff72583c9c24c720beff1812",
         "1ca72a8c3b6b21eac3c60f3f953db652f80263b040b191deeaa0fe69b38c9157"),  # 18 leaves
     "iris-bootstrap/10-30-3": ("78dd37682de8d69a97dc612cc086f25cf3439e437128e85d867c1fdf23b36ebe",
