@@ -283,6 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # numpy seeds only with integers >= 0 (predict has none)
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     try:
         return args.func(args)
     except (DataError, ValueError, OSError) as exc:

@@ -9,17 +9,18 @@ lowest threshold, then to the lowest feature index. Routing is
 x[j] < threshold -> left, else right. A node is a leaf when it holds fewer
 than 2 * min_leaf_size rows, is pure, or sits at max_depth.
 
-Growth is level by level on presorted columns. Each feature is sorted once,
-at the root, as in SLIQ (Mehta, Agrawal & Rissanen, 1996). Every node then
-owns one segment of each feature's sorted list, and all nodes of a depth are
-searched together in one vectorized pass over nodes x features x candidates,
-like LightGBM's node-parallel split search (Ke et al., 2017). A split
-partitions each list stably into the children's segments, so no node sorts
-again, and a child that is already a leaf leaves the lists. Leaves are
-numbered in pre-order once growth ends. The candidates, scores and
-tie-breaks use the same floating-point arithmetic as a search over each
-node's own sorted values, so growing node by node gives the same trees;
-tests/test_tree_golden.py pins them.
+Growth is level by level on presorted columns. Each feature's rows are
+sorted once, at the root, as in SLIQ (Mehta, Agrawal & Rissanen, 1996), and a
+level's lists hold, per feature, each node's row ids in that order. All nodes
+of a depth are searched together in one vectorized pass over nodes x features
+x candidates, like LightGBM's node-parallel split search (Ke et al., 2017); a
+candidate on a run of tied values bisects its node's values. A split marks
+each row's side in one n-entry array and partitions each list stably into the
+children's segments, so no node sorts again, and a child that is already a
+leaf leaves the lists. Leaves are numbered in pre-order once growth ends. The
+candidates, scores and tie-breaks use the same floating-point arithmetic as a
+search over each node's own sorted values, so growing node by node gives the
+same trees; tests/test_tree_golden.py pins them.
 """
 
 from __future__ import annotations
@@ -196,10 +197,10 @@ def fit_tree_arrays(X: np.ndarray, y: np.ndarray, n_classes: int,
 
     holder = SplitNode(-1, 0.0)  # sentinel; its .left becomes the root
     targets = [(holder, "left")]  # where each node of the level attaches
-    # Row j of `lists` holds, for each node of the level, the node's rows in
-    # feature j's order, as positions in the presorted columns; node v owns
-    # entries starts[v] .. starts[v] + sizes[v] - 1 of every row.
-    lists = np.arange(p * n).reshape(p, n)
+    # Row j of `lists` holds, for each node of the level, the node's training
+    # rows in feature j's order; node v owns entries starts[v] .. starts[v] +
+    # sizes[v] - 1 of every row.
+    lists = col.order
     starts = np.zeros(1, dtype=np.int64)
     depth = 0
     while targets:
@@ -229,56 +230,46 @@ def fit_tree_arrays(X: np.ndarray, y: np.ndarray, n_classes: int,
             setattr(*target, LeafNode(-1, hist))  # numbered once growth ends
 
         # stable partition of every row of `lists` into the kept children's entries
-        kept = np.flatnonzero(keep)
+        kept, flat = np.flatnonzero(keep), lists.ravel()
+        sizes, counts, gini = child_sizes[kept], child_counts[kept], child_gini[kept]
+        starts = np.cumsum(sizes) - sizes
+        at = np.arange(sizes.sum()) + np.repeat(child_start[kept] - starts, sizes)
         side = np.zeros(n, dtype=np.int8)  # 1: row goes to a kept left child, 2: kept right
-        side[col.rows(lists, child_start[kept], child_sizes[kept])] = np.repeat(
-            np.where(kept < len(split), 1, 2).astype(np.int8), child_sizes[kept])
-        flat = lists.ravel()
-        side_at = side[col.row_at[flat]]
+        side[flat[at]] = np.repeat(np.where(kept < len(split), 1, 2).astype(np.int8), sizes)
+        side_at = side[flat]
         lists = np.concatenate([np.compress(side_at == 1, flat).reshape(p, -1),
                                 np.compress(side_at == 2, flat).reshape(p, -1)], axis=1)
         targets = [child_targets[c] for c in kept]
-        sizes, counts, gini = child_sizes[kept], child_counts[kept], child_gini[kept]
-        starts = np.cumsum(sizes) - sizes
         depth += 1
 
     return DecisionTree(holder.left, _number_leaves(holder.left), p, n_classes, cfg)
 
 
 class _Columns:
-    """The training columns, each sorted once.
+    """The training columns, each sorted once, and the classes, indexed by row id.
 
-    Position j * n + q names the q-th smallest row of feature j: `row_at`
-    gives that row, `val` its value, `key` the pair (j, value), so one
-    searchsorted places values of any feature, and `word` its class packed
-    as a digit in base n + 1, so one prefix sum counts several classes.
-    Equal values may come in any order: the search reads only values and
-    counts, so the tree does not depend on it.
+    Row j of `order` lists the training rows from feature j's smallest value
+    up. `val` is X transposed and flattened, so row r's value of feature j
+    is val[j * n + r] (`offset[j]` is j * n). `word` holds each row's class
+    packed as a digit in base n + 1, so one prefix sum counts several
+    classes. Equal values may come in any order: the search reads only
+    values and counts, so the tree does not depend on it.
     """
 
     def __init__(self, X, y0, n_classes):
         n, p = X.shape
         XT = X.T.copy()
-        self.row_at = np.argsort(XT, axis=1).ravel()
-        self.key = np.empty(p * n, dtype=np.complex128)
-        self.key.real = np.repeat(np.arange(p), n)
-        self.key.imag = XT.ravel()[self.row_at + np.repeat(np.arange(p) * n, n)]
-        self.val = self.key.imag
-        self.n = n
+        self.order = np.argsort(XT, axis=1)
+        self.val = XT.ravel()
+        self.offset = np.arange(p) * n
         self.base = n + 1
         self.digits = 1          # classes per int64 word: n * base**(digits-1) < 2**63
         while n * self.base ** self.digits < 2 ** 63 and self.digits < n_classes:
             self.digits += 1
         cls = np.arange(n_classes)
         power = np.array([self.base ** d for d in range(self.digits)])[cls % self.digits]
-        self.word = [np.where(cls // self.digits == w, power, 0)[y0][self.row_at]
+        self.word = [np.where(cls // self.digits == w, power, 0)[y0]
                      for w in range(-(-n_classes // self.digits))]
-
-    def rows(self, lists, starts, lengths):
-        """Training rows at entries starts[i] .. starts[i] + lengths[i] - 1 of `lists`."""
-        ends = np.cumsum(lengths)
-        at = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lengths), lengths)
-        return self.row_at[lists.ravel()[at]]
 
     def class_counts(self, lists, begin, end, n_classes):
         """Class counts of entries begin[i] .. end[i] - 1 of `lists` (one row each)."""
@@ -329,11 +320,12 @@ def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
     frac = (pos - lo)[:, None, :]
     seg = starts[:, None] + np.arange(p) * width              # (m, p): node v's entries on feature j
     at = seg[:, :, None] + lo[:, None, :]                     # lo <= n - 2 as i < B
-    below, above = col.val[flat[at]], col.val[flat[at + 1]]
+    off = col.offset[:, None]
+    below, above = col.val[flat[at] + off], col.val[flat[at + 1] + off]
     cand = below * (1.0 - frac) + above * frac
     cand.sort(axis=2)
     # below sv[-1]; above sv[0] follows from left_n >= min_leaf_size >= 1
-    idx = np.flatnonzero(cand < col.val[flat[seg + (sizes - 1)[:, None]]][:, :, None])
+    idx = np.flatnonzero(cand < col.val[flat[seg + (sizes - 1)[:, None]] + col.offset][:, :, None])
 
     # left_n: rows of the node with a value below the candidate. The checks
     # read the node's values at the paired rank, so they hold for a sorted
@@ -345,17 +337,18 @@ def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
     hard = np.flatnonzero((c <= a) | (c > b))
     if hard.size:
         # c == a opening a's run: left_n = lo; otherwise search the node
-        opens = (c[hard] == a[hard]) & (col.val[flat[at[hard] - 1]] < a[hard])
+        opens = (c[hard] == a[hard]) & (col.val[flat[at[hard] - 1] + col.offset[j[hard]]] < a[hard])
         left_n[hard[opens]] -= 1
         hard = hard[~opens]
     if hard.size:
-        probe = np.empty(hard.size, dtype=np.complex128)
-        probe.real, probe.imag = j[hard], c[hard]
-        in_column = np.searchsorted(col.key, probe)           # j * n + rows of the column below c
-        # (j, node, column position) sorts the level's entries; find c's place among them
-        level = lists + (np.arange(p)[:, None] * (m - 1) + np.repeat(np.arange(m), sizes)) * col.n
-        left_n[hard] = np.searchsorted(level.ravel(), in_column + (j[hard] * (m - 1)
-                                                                  + node[hard]) * col.n) - begin[hard]
+        # the node's last entry below c, found in halving steps; a probe past
+        # the node is capped at its last entry, which c < sv[-1] never takes
+        pos, last = begin[hard] - 1, begin[hard] + sizes[node[hard]] - 1
+        shift, ch = col.offset[j[hard]], c[hard]
+        for step in 1 << np.arange(int(sizes.max()).bit_length())[::-1]:
+            probe = np.minimum(pos + step, last)
+            pos = np.where(col.val[flat[probe] + shift] < ch, probe, pos)
+        left_n[hard] = pos + 1 - begin[hard]
     # keep candidates leaving min_leaf_size rows on both sides, and of those
     # with equal left_n on one node and feature (equal scores) the lowest
     ok = (left_n >= mls) & (sizes[node] - left_n >= mls)

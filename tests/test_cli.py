@@ -408,6 +408,23 @@ class TestUsage:
         assert exc.value.code == 2
         assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", IRIS, "--label", "species", "--trees", "3", "--seed", "-1",
+         "--out"],
+        ["benchmark", "--data", IRIS, "--label", "species", "--replicates", "1",
+         "--seed", "-1", "--out-prefix"],
+        ["simulate", "--seed", "-1", "--out"],
+        ["verify-theory", "--instances", "1", "--seed", "-1", "--out"],
+        ["train", "--data", IRIS, "--label", "species", "--out"],  # seed from DTE_SEED
+    ], ids=["train", "benchmark", "simulate", "verify-theory", "env"])
+    def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setenv("DTE_SEED", "-1")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unreadable_file_exits_2(self, tmp_path):
         assert run("train", "--data", str(tmp_path / "nope.csv"),
                    "--label", "x", "--out", str(tmp_path / "m.json")) == 2
