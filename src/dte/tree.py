@@ -360,8 +360,8 @@ def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
     ln = left_n.astype(np.float64)
     nn = sizes[node].astype(np.float64)
     rn = nn - ln
-    gini_l = 1.0 - ((left_counts / ln[:, None]) ** 2).sum(axis=1)
-    gini_r = 1.0 - ((right_counts / rn[:, None]) ** 2).sum(axis=1)
+    gini_l = 1.0 - _sum_sq(left_counts / ln[:, None])
+    gini_r = 1.0 - _sum_sq(right_counts / rn[:, None])
     dec = gini[node] - (ln / nn) * gini_l - (rn / nn) * gini_r
 
     score = np.full((m, p * (bins - 1)), -np.inf)
@@ -374,6 +374,12 @@ def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
     thr, chosen_n, chosen_counts = np.zeros(m), np.zeros(m, np.int64), np.zeros((m, k), np.int64)
     thr[wins], chosen_n[wins], chosen_counts[wins] = c[pick], left_n[pick], left_counts[pick]
     return feat, thr, chosen_n, chosen_counts
+
+
+def _sum_sq(q):
+    """Row sums of q**2, bit for bit as .sum(axis=1), which adds in turn below 8 columns."""
+    q = q * q
+    return q.sum(axis=1) if q.shape[1] >= 8 else sum(q.T[1:], q.T[0])
 
 
 def _number_leaves(root):

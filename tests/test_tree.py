@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dte import DecisionTree, TreeConfig, fit_tree, from_arrays
 from dte.oracle import sample_mixture, three_cluster_spec
-from dte.tree import LeafNode, SplitNode
+from dte.tree import LeafNode, SplitNode, _sum_sq
 
 
 def gini(hist):
@@ -145,6 +145,13 @@ class TestInvariants:
         assert all(rows.size == leaf.size for leaf, rows in parts)
         all_rows = np.concatenate([rows for _, rows in parts])
         assert sorted(all_rows.tolist()) == list(range(wine.n))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_split_gini_sums_keep_numpy_sum_bits(self, k):
+        # values spanning 16 decades, so any other order of the additions shows
+        rng = np.random.default_rng(k)
+        q = rng.random((500, k)) * 10.0 ** rng.integers(-8, 8, size=(500, k))
+        assert np.all(_sum_sq(q) == (q ** 2).sum(axis=1))
 
     def test_min_leaf_size_respected(self, wine):
         for mls in (1, 5, 10, 25):
