@@ -4,13 +4,12 @@ Each case pins the SHA-256 of ``json.dumps(nested(tree.to_dict()))``
 (structure, features, thresholds, histograms) and of the training rows each
 leaf holds (routed by ``apply``; ascending within a leaf, leaves in id
 order). The pins were taken from the per-node reference implementation the
-level-wise grower replaced (``deep-tied`` from the level-wise grower before
-its tied-candidate search moved to row ids), when ``to_dict`` still nested
-the nodes; ``nested``
-rebuilds that form from the flat pre-order lists, so the pins cover every
-saved value. Any change to a split, a threshold bit, the leaf numbering or a
-leaf's rows fails here. Regenerate them only for a deliberate change of the
-split rule:
+level-wise grower replaced (``deep-tied`` from the level-wise grower, before
+its tied-candidate search was rewritten), when ``to_dict`` still nested the
+nodes; ``nested`` rebuilds that form from the flat pre-order lists, so the
+pins cover every saved value. Any change to a split, a threshold bit, the
+leaf numbering or a leaf's rows fails here. Regenerate them only for a
+deliberate change of the split rule:
 
     PYTHONPATH=src python tests/test_tree_golden.py
 """
@@ -54,7 +53,7 @@ def _deep_mixture():
 
 def _deep_tied():
     """6000 rows of ten components owned by five classes, rounded to one
-    decimal, so most candidates of every level fall on a run of tied values."""
+    decimal, so candidates on every level fall on runs of tied values."""
     means = np.random.default_rng(20251203).normal(scale=1.5, size=(10, 6))
     rng = np.random.default_rng([7, 3])
     comp = rng.integers(0, 10, size=6_000)
