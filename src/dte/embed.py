@@ -84,13 +84,8 @@ def anchor_intercept(anchors: np.ndarray) -> np.ndarray:
     return -0.5 * (anchors ** 2).sum(axis=1)
 
 
-def fit_embedding(ds: Dataset, cfg: TreeConfig, t: int, seed) -> Embedding:
-    """Fit the anchors: tree 1 on the data, trees 2..t on bootstrap resamples.
-
-    Anchor blocks are concatenated in tree order; each bootstrap tree's leaf
-    means are taken over its own resampled rows (duplicates counted with
-    multiplicity). No row is embedded; `project` does that.
-    """
+def tree_samples(ds: Dataset, t: int, seed) -> list:
+    """The rows each of t trees fits: all of ds's rows, then t - 1 bootstrap resamples."""
     if t < 1:
         raise ValueError("t must be >= 1")
     if ds.n_classes < 2:
@@ -102,19 +97,30 @@ def fit_embedding(ds: Dataset, cfg: TreeConfig, t: int, seed) -> Embedding:
     # stateless per-tree streams keyed by the seed's own spawn key plus the
     # tree index, so repeated fits with the same seed object stay identical
     # and sibling seeds from SeedSequence.spawn draw different resamples
-    samples = [slice(None)] + [
+    return [slice(None)] + [
         bootstrap(ds, np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key + (s,))).indices
         for s in range(t - 1)]
-    trees, anchor_blocks = [], []
-    for rows in samples:
-        X, y = ds.features[rows], ds.labels[rows]
-        tree = fit_tree_arrays(X, y, ds.n_classes, cfg)
-        trees.append(tree)
-        anchor_blocks.append(_leaf_means_arrays(X, tree))
 
-    anchors = np.vstack(anchor_blocks)
+
+def anchor_embedding(X: np.ndarray, samples, trees) -> Embedding:
+    """The embedding whose anchor blocks, in tree order, are the leaf means of
+    each tree over the rows X[s] of its sample s, which it was fitted on."""
+    anchors = np.vstack([_leaf_means_arrays(X[rows], tree) for rows, tree in zip(samples, trees)])
     return Embedding(anchors, anchor_intercept(anchors),
                      tuple(tree.n_leaves for tree in trees), tuple(trees))
+
+
+def fit_embedding(ds: Dataset, cfg: TreeConfig, t: int, seed) -> Embedding:
+    """Fit the anchors: tree 1 on the data, trees 2..t on bootstrap resamples.
+
+    Anchor blocks are concatenated in tree order; each bootstrap tree's leaf
+    means are taken over its own resampled rows (duplicates counted with
+    multiplicity). No row is embedded; `project` does that.
+    """
+    samples = tree_samples(ds, t, seed)
+    trees = [fit_tree_arrays(ds.features[rows], ds.labels[rows], ds.n_classes, cfg)
+             for rows in samples]
+    return anchor_embedding(ds.features, samples, trees)
 
 
 def dte_t(ds: Dataset, cfg: TreeConfig, t: int, seed):

@@ -9,10 +9,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset, FoldPlan, stratified_folds
-# dte_t and project are unused here; perfbench/spans.py traces them as pipeline attributes
-from .embed import Embedding, dte_t, fit_embedding, project  # noqa: F401
+# dte_t, project and fit_tree are unused here; perfbench/spans.py traces them as
+# pipeline attributes
+from .embed import (Embedding, anchor_embedding, dte_t, fit_embedding, project,  # noqa: F401
+                    tree_samples)
 from .lda import LdaModel, fit_lda, predict_lda
-from .tree import TreeConfig, fit_tree
+from .tree import TreeConfig, fit_tree, fit_trees_arrays  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,22 +35,25 @@ class DteClassifier:
 
 
 def fit(ds_train: Dataset, cfg: TreeConfig = TreeConfig(), t: int = 1, seed=0) -> DteClassifier:
-    """Fit the anchors and the linear classifier on the training rows.
+    """Fit the anchors and the linear classifier (see _anchor_span_lda) on the training rows."""
+    emb = fit_embedding(ds_train, cfg, t, seed)
+    return DteClassifier(emb, _anchor_span_lda(emb, ds_train), cfg, t, seed)
 
-    Pseudoinverse LDA on Z = X W^T + b is invariant under that affine map,
-    so it equals LDA on x restricted to span(W), and Z is never formed. It
-    is fitted on X Q, for Q an orthonormal basis of the anchor span (SVD of
-    W, numpy's rank tolerance), and its means and pseudoinverse are lifted
-    back to x.
+
+def _anchor_span_lda(emb: Embedding, ds_train: Dataset) -> LdaModel:
+    """The LDA rule on x that pseudoinverse LDA on Z = X W^T + b amounts to.
+
+    That LDA is invariant under the affine map, so it equals LDA on x
+    restricted to span(W), and Z is never formed. It is fitted on X Q, for
+    Q an orthonormal basis of the anchor span (SVD of W, numpy's rank
+    tolerance), and its means and pseudoinverse are lifted back to x.
     Directions outside the span keep a zero column of Q, so all-zero
     anchors leave a zero covariance and the rule falls back to the priors.
     """
-    emb = fit_embedding(ds_train, cfg, t, seed)
     _, sv, vt = np.linalg.svd(emb.anchors, full_matrices=False)
     q = vt.T * (sv > sv[0] * max(emb.anchors.shape) * np.finfo(np.float64).eps)
     span = fit_lda(ds_train.features @ q, ds_train.labels)
-    lda = LdaModel(span.means @ q.T, q @ span.cov_pinv @ q.T, span.log_priors)
-    return DteClassifier(emb, lda, cfg, t, seed)
+    return LdaModel(span.means @ q.T, q @ span.cov_pinv @ q.T, span.log_priors)
 
 
 def predict(clf: DteClassifier, X) -> np.ndarray:
@@ -61,7 +66,10 @@ class CvReport:
     """Per-fold error rates and timings for one method on one dataset.
 
     std_error is the sample standard deviation (ddof=1) across all
-    replicates x folds fold errors.
+    replicates x folds fold errors. A fold's train_seconds is its share of
+    the tree growth its replicate's folds ran together plus the fit steps
+    that are its own, so they sum to the method's fit time; test_seconds
+    is the wall-clock time of the fold's own predictions.
     """
 
     method: str
@@ -106,13 +114,16 @@ class CvReport:
 
 
 def _method_runner(name: str, cfg: TreeConfig):
-    """Map a method name to (fit, predict, width) callables."""
+    """Map a method name to (samples, build, predict, width) callables.
+
+    ``samples(train, seed)`` gives the rows of each tree a fold's model
+    fits, as indices into the fold's training rows or a slice, and
+    ``build(train, samples, trees, seed)`` makes the model from its trees.
+    """
     key = name.lower()
     if key == "tree":
-        def fit_fn(ds, seed):
-            return fit_tree(ds, cfg)
-
-        return fit_fn, lambda tree, X: tree.predict(X), lambda tree: tree.n_leaves
+        return (lambda train, seed: [slice(None)], lambda train, samples, trees, seed: trees[0],
+                lambda tree, X: tree.predict(X), lambda tree: tree.n_leaves)
     if key.startswith("dte-"):
         try:
             t = int(key[4:])
@@ -121,10 +132,12 @@ def _method_runner(name: str, cfg: TreeConfig):
         if t < 1:
             raise ValueError(f"unknown method {name!r}")
 
-        def fit_fn(ds, seed):
-            return fit(ds, cfg, t, seed)
+        def build(train, samples, trees, seed):
+            emb = anchor_embedding(train.features, samples, trees)
+            return DteClassifier(emb, _anchor_span_lda(emb, train), cfg, t, seed)
 
-        return fit_fn, predict, lambda clf: clf.embedding.m
+        return (lambda train, seed: tree_samples(train, t, seed), build, predict,
+                lambda clf: clf.embedding.m)
     raise ValueError(f"unknown method {name!r}; expected 'tree' or 'dte-<t>'")
 
 
@@ -136,29 +149,44 @@ def cross_validate(ds: Dataset, methods: Sequence[str], replicates: int = 10,
 
     Every method sees the same train/test splits and the same per-fold
     derived seeds, so reports are identical under reordering or
-    parallel execution; timings are wall-clock per fold.
+    parallel execution. Per method, the trees of one replicate's folds are
+    grown together by ``fit_trees_arrays``, each equal to the tree a fold's
+    own fit grows. A fold's train time is an equal share of that growth
+    plus its own samples, anchors and LDA, so the shares sum to the
+    method's fit time; its test time is its own.
     """
     if plan is None:
         plan = stratified_folds(ds, replicates, folds, seed)
     reports = []
     for name in methods:
-        fit_fn, predict_fn, width_fn = _method_runner(name, cfg)
+        samples_fn, build_fn, predict_fn, width_fn = _method_runner(name, cfg)
         errors = np.empty((plan.replicates, plan.folds))
         train_s = np.empty_like(errors)
         test_s = np.empty_like(errors)
         widths = np.empty((plan.replicates, plan.folds), dtype=np.int64)
         for r in range(plan.replicates):
+            fits, tree_rows = [], []   # (train, fold seed, tree samples) per fold; rows of ds
             for f in range(plan.folds):
-                train = ds.subset(plan.train_rows(r, f))
-                test_rows = plan.test_rows(r, f)
+                rows = plan.train_rows(r, f)
+                train = ds.subset(rows)
                 fold_seed = np.random.SeedSequence([seed, r, f])
                 t0 = time.perf_counter()
-                model = fit_fn(train, fold_seed)
+                samples = samples_fn(train, fold_seed)
+                tree_rows += [rows[s] for s in samples]
+                fits.append((train, fold_seed, samples))
+                train_s[r, f] = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            trees = iter(fit_trees_arrays(ds.features, ds.labels, tree_rows, ds.n_classes, cfg))
+            train_s[r] += (time.perf_counter() - t0) / plan.folds
+            for f, (train, fold_seed, samples) in enumerate(fits):
+                test_rows = plan.test_rows(r, f)
+                t0 = time.perf_counter()
+                model = build_fn(train, samples, [next(trees) for _ in samples], fold_seed)
                 t1 = time.perf_counter()
                 preds = predict_fn(model, ds.features[test_rows])
                 t2 = time.perf_counter()
                 errors[r, f] = float(np.mean(preds != ds.labels[test_rows]))
-                train_s[r, f] = t1 - t0
+                train_s[r, f] += t1 - t0
                 test_s[r, f] = t2 - t1
                 widths[r, f] = width_fn(model)
         reports.append(CvReport(name, errors, train_s, test_s, widths,

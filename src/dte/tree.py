@@ -21,6 +21,11 @@ leaf leaves the lists. Leaves are numbered in pre-order once growth ends. The
 candidates, scores and tie-breaks use the same floating-point arithmetic as a
 search over each node's own sorted values, so growing node by node gives the
 same trees; tests/test_tree_golden.py pins them.
+
+The trees of several samples (the folds of a cross-validation) grow together:
+their roots are just more nodes of each level. The rows of all roots of a
+batch are sorted once, then partitioned stably by root, so each root owns its
+own segment of every sorted column from the start.
 """
 
 from __future__ import annotations
@@ -181,32 +186,81 @@ def fit_tree(ds: Dataset, cfg: TreeConfig = TreeConfig()) -> DecisionTree:
     return fit_tree_arrays(ds.features, ds.labels, ds.n_classes, cfg)
 
 
+# Roots grown together hold at most this many entries per level, both in the
+# level lists (p per row) and among the candidates (p * (num_bins - 1) per
+# searched node, which has at least 2 * min_leaf_size rows). More roots per
+# batch pay the fixed cost of a level's numpy calls fewer times; larger
+# batches outgrow the cache and raise the peak memory (2**17 raised the
+# bundled-data cross-validation's peak RSS from 44 to 59 MiB).
+_BATCH_ENTRIES = 1 << 14
+
+
 def fit_tree_arrays(X: np.ndarray, y: np.ndarray, n_classes: int,
                     cfg: TreeConfig = TreeConfig()) -> DecisionTree:
     """Fit on raw arrays; used for bootstrap resamples that may miss classes."""
+    return fit_trees_arrays(X, y, [slice(None)], n_classes, cfg)[0]
+
+
+def fit_trees_arrays(X: np.ndarray, y: np.ndarray, samples, n_classes: int,
+                     cfg: TreeConfig = TreeConfig()) -> list[DecisionTree]:
+    """One tree per sample, each equal to ``fit_tree_arrays(X[s], y[s], ...)``.
+
+    A sample is a row-index array into X (repeated rows allowed) or a slice.
+    The roots are grown together, in batches of at most _BATCH_ENTRIES
+    entries per level, as more nodes of each level.
+    """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y0 = np.asarray(y, dtype=np.int64) - 1
-    n, p = X.shape
-    sizes = np.array([n])
-    counts = np.bincount(y0, minlength=n_classes)[None, :]
+    p = X.shape[1]
+    ys = [y0[s] for s in samples]
+    sizes = np.array([v.size for v in ys], dtype=np.int64)
+    counts = np.array([np.bincount(v, minlength=n_classes) for v in ys],
+                      dtype=np.int64).reshape(len(ys), n_classes)
     gini, searched = _search_runs(sizes, counts, 0, cfg)
-    if not searched[0] or p == 0:
-        leaf = LeafNode(0, counts[0])
-        return DecisionTree(leaf, [leaf], p, n_classes, cfg)
-    col = _Columns(X, y0, n_classes)
+    per_row = p * max(1.0, (cfg.num_bins - 1) / (2 * cfg.min_leaf_size))  # worst case, per level
+    trees, batches, total = [], [], np.inf
+    for i, (size, runs) in enumerate(zip(sizes.tolist(), searched.tolist())):
+        if not runs or p == 0:
+            leaf = LeafNode(0, counts[i])
+            trees.append(DecisionTree(leaf, [leaf], p, n_classes, cfg))
+            continue
+        trees.append(None)
+        if total + size * per_row > _BATCH_ENTRIES:
+            batches.append([])
+            total = 0.0
+        batches[-1].append(i)
+        total += size * per_row
+    for batch in batches:
+        if len(batch) == 1:
+            rows = samples[batch[0]]
+        else:
+            ids = np.arange(len(y0))
+            rows = np.concatenate([ids[samples[i]] for i in batch])
+        roots = _grow(X[rows], y0[rows], sizes[batch], counts[batch], gini[batch], cfg)
+        for i, root in zip(batch, roots):
+            trees[i] = DecisionTree(root, _number_leaves(root), p, n_classes, cfg)
+    return trees
 
-    holder = SplitNode(-1, 0.0)  # sentinel; its .left becomes the root
-    targets = [(holder, "left")]  # where each node of the level attaches
+
+def _grow(X, y0, sizes, counts, gini, cfg):
+    """The root nodes of trees grown level by level from roots whose search runs.
+
+    Root r owns the rows sizes[:r].sum() .. sizes[:r + 1].sum() - 1 of (X, y0).
+    """
+    n, p = X.shape
+    col = _Columns(X, y0, counts.shape[1], sizes)
+    holders = [SplitNode(-1, 0.0) for _ in sizes]  # sentinels; each .left becomes a root
+    targets = [(holder, "left") for holder in holders]  # where each node of the level attaches
     # Row j of `lists` holds, for each node of the level, the node's training
     # rows in feature j's order; node v owns entries starts[v] .. starts[v] +
     # sizes[v] - 1 of every row.
     lists = col.order
-    starts = np.zeros(1, dtype=np.int64)
+    starts = sizes.cumsum() - sizes
     depth = 0
     while targets:
         feat, thr, left_n, left_counts = _best_splits(col, lists, starts, sizes, counts, gini, cfg)
-        split = np.flatnonzero(feat >= 0)
-        stay = np.flatnonzero(feat < 0)
+        split = (feat >= 0).nonzero()[0]
+        stay = (feat < 0).nonzero()[0]
         # + 0.0 saves a -0.0 threshold as 0.0, which routes the same, so the
         # bytes do not depend on the order of tied -0.0 and 0.0 values
         nodes = [SplitNode(int(feat[v]), float(thr[v]) + 0.0) for v in split]
@@ -223,43 +277,49 @@ def fit_tree_arrays(X: np.ndarray, y: np.ndarray, n_classes: int,
         child_targets = [(node, "left") for node in nodes] + [(node, "right") for node in nodes]
 
         # children that stop, and searched nodes that found no split, become leaves
-        drop = np.flatnonzero(~keep)
+        drop = (~keep).nonzero()[0]
         leaf_targets = [child_targets[c] for c in drop] + [targets[v] for v in stay]
         leaf_counts = np.concatenate([child_counts[drop], counts[stay]])
         for target, hist in zip(leaf_targets, leaf_counts):
             setattr(*target, LeafNode(-1, hist))  # numbered once growth ends
 
         # stable partition of every row of `lists` into the kept children's entries
-        kept, flat = np.flatnonzero(keep), lists.ravel()
+        kept, flat = keep.nonzero()[0], lists.ravel()
         sizes, counts, gini = child_sizes[kept], child_counts[kept], child_gini[kept]
-        starts = np.cumsum(sizes) - sizes
-        at = np.arange(sizes.sum()) + np.repeat(child_start[kept] - starts, sizes)
+        starts = sizes.cumsum() - sizes
+        at = np.arange(sizes.sum()) + (child_start[kept] - starts).repeat(sizes)
         side = np.zeros(n, dtype=np.int8)  # 1: row goes to a kept left child, 2: kept right
-        side[flat[at]] = np.repeat(np.where(kept < len(split), 1, 2).astype(np.int8), sizes)
+        side[flat[at]] = np.where(kept < len(split), 1, 2).astype(np.int8).repeat(sizes)
         side_at = side[flat]
-        lists = np.concatenate([np.compress(side_at == 1, flat).reshape(p, -1),
-                                np.compress(side_at == 2, flat).reshape(p, -1)], axis=1)
+        lists = np.concatenate([flat.compress(side_at == 1).reshape(p, -1),
+                                flat.compress(side_at == 2).reshape(p, -1)], axis=1)
         targets = [child_targets[c] for c in kept]
         depth += 1
 
-    return DecisionTree(holder.left, _number_leaves(holder.left), p, n_classes, cfg)
+    return [holder.left for holder in holders]
 
 
 class _Columns:
     """The training columns, each sorted once, and the classes, indexed by row id.
 
     Row j of `order` lists the training rows from feature j's smallest value
-    up. `val` is X transposed and flattened, so row r's value of feature j
+    up, within one segment per root: root r owns the next root_sizes[r] rows
+    of X. `val` is X transposed and flattened, so row r's value of feature j
     is val[j * n + r] (`offset[j]` is j * n). `word` holds each row's class
     packed as a digit in base n + 1, so one prefix sum counts several
     classes. Equal values may come in any order: the search reads only
     values and counts, so the tree does not depend on it.
     """
 
-    def __init__(self, X, y0, n_classes):
+    def __init__(self, X, y0, n_classes, root_sizes):
         n, p = X.shape
         XT = X.T.copy()
         self.order = np.argsort(XT, axis=1)
+        if len(root_sizes) > 1:
+            # int16 ids sort by radix; a batch holds at most _BATCH_ENTRIES / 2 roots
+            root = np.repeat(np.arange(len(root_sizes), dtype=np.int16), root_sizes)
+            by_root = np.argsort(root[self.order], axis=1, kind="stable")
+            self.order = np.take_along_axis(self.order, by_root, axis=1)
         self.val = XT.ravel()
         self.offset = np.arange(p) * n
         self.base = n + 1
@@ -279,7 +339,7 @@ class _Columns:
         b, e = begin + row, end + row    # positions in `prefix`, one column wider
         out = np.empty((len(begin), n_classes), dtype=np.int64)
         for w, word in enumerate(self.word):
-            np.cumsum(word[lists], axis=1, out=prefix[:, 1:])
+            word[lists].cumsum(axis=1, out=prefix[:, 1:])
             packed = prefix.ravel()[e] - prefix.ravel()[b]
             for c in range(w * self.digits, min(n_classes, (w + 1) * self.digits)):
                 out[:, c] = packed // self.base ** (c % self.digits) % self.base
@@ -325,7 +385,8 @@ def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
     cand = below * (1.0 - frac) + above * frac
     cand.sort(axis=2)
     # below sv[-1]; above sv[0] follows from left_n >= min_leaf_size >= 1
-    idx = np.flatnonzero(cand < col.val[flat[seg + (sizes - 1)[:, None]] + col.offset][:, :, None])
+    inside = cand < col.val[flat[seg + (sizes - 1)[:, None]] + col.offset][:, :, None]
+    idx = inside.ravel().nonzero()[0]
 
     # left_n: rows of the node with a value below the candidate. The checks
     # read the node's values at the paired rank, so they hold for a sorted
@@ -334,18 +395,21 @@ def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
     c, a, b, at = cand.ravel()[idx], below.ravel()[idx], above.ravel()[idx], at.ravel()[idx]
     begin = j * width + starts[node]
     left_n = at - begin + 1                                   # a < c <= b
-    hard = np.flatnonzero((c <= a) | (c > b))
+    hard = ((c <= a) | (c > b)).nonzero()[0]
     if hard.size:
         # c == a opening a's run: left_n = lo; otherwise search the node
         opens = (c[hard] == a[hard]) & (col.val[flat[at[hard] - 1] + col.offset[j[hard]]] < a[hard])
         left_n[hard[opens]] -= 1
         hard = hard[~opens]
     if hard.size:
-        # the node's last entry below c, found in halving steps; a probe past
-        # the node is capped at its last entry, which c < sv[-1] never takes
-        pos, last = begin[hard] - 1, begin[hard] + sizes[node[hard]] - 1
+        # the node's last entry below c, found in as many halving steps as the
+        # largest node holding such a candidate needs (in a batch, another
+        # root's nodes may be larger); a probe past the node is capped at its
+        # last entry, which c < sv[-1] never takes
+        size = sizes[node[hard]]
+        pos, last = begin[hard] - 1, begin[hard] + size - 1
         shift, ch = col.offset[j[hard]], c[hard]
-        for step in 1 << np.arange(int(sizes.max()).bit_length())[::-1]:
+        for step in 1 << np.arange(int(size.max()).bit_length())[::-1]:
             probe = np.minimum(pos + step, last)
             pos = np.where(col.val[flat[probe] + shift] < ch, probe, pos)
         left_n[hard] = pos + 1 - begin[hard]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dte import (DteClassifier, Embedding, LdaModel, TreeConfig, cross_validate, fit,
-                 fit_lda, from_arrays, load_csv, predict, predict_lda, project,
+                 fit_lda, fit_tree, from_arrays, load_csv, predict, predict_lda, project,
                  timing_sweep)
 from dte.data import stratified_folds
 from dte.oracle import sample_mixture, three_cluster_spec
@@ -212,6 +212,33 @@ class TestCrossValidate:
     def test_unknown_method_rejected(self, iris):
         with pytest.raises(ValueError, match="unknown method"):
             cross_validate(iris, ["forest"], replicates=2, folds=5, seed=0)
+
+    @pytest.mark.parametrize("name", ["iris", "wine", "cancer"])
+    def test_batched_folds_equal_a_per_fold_loop(self, name, request):
+        # cross_validate grows the folds' trees together; each fold must get
+        # what its own fit (or fit_tree) and predict give
+        ds, cfg, seed = request.getfixturevalue(name), TreeConfig(), 42
+        plan = stratified_folds(ds, 2, 5, seed)
+        reports = cross_validate(ds, ["dte-1", "dte-3", "tree"], seed=seed, plan=plan)
+        for rep in reports:
+            errors = np.empty((2, 5))
+            widths = np.empty((2, 5), dtype=np.int64)
+            for r in range(2):
+                for f in range(5):
+                    train = ds.subset(plan.train_rows(r, f))
+                    test_rows = plan.test_rows(r, f)
+                    X_test = ds.features[test_rows]
+                    if rep.method == "tree":
+                        model = fit_tree(train, cfg)
+                        preds, widths[r, f] = model.predict(X_test), model.n_leaves
+                    else:
+                        fold_seed = np.random.SeedSequence([seed, r, f])
+                        model = fit(train, cfg, int(rep.method[4:]), fold_seed)
+                        preds, widths[r, f] = predict(model, X_test), model.embedding.m
+                    errors[r, f] = np.mean(preds != ds.labels[test_rows])
+            assert np.array_equal(rep.errors, errors), rep.method
+            assert np.array_equal(rep.leaf_counts, widths), rep.method
+            assert np.all(np.isfinite(rep.train_seconds)) and np.all(rep.train_seconds >= 0)
 
 
 class TestTimingSweep:

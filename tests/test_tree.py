@@ -1,13 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dte import DecisionTree, TreeConfig, fit_tree, from_arrays
+from dte import DecisionTree, TreeConfig, fit_tree, from_arrays, stratified_folds
+from dte import tree as tree_module
+from dte.embed import tree_samples
 from dte.oracle import sample_mixture, three_cluster_spec
-from dte.tree import LeafNode, SplitNode, _sum_sq
+from dte.tree import LeafNode, SplitNode, _sum_sq, fit_tree_arrays, fit_trees_arrays
 
 
 def gini(hist):
@@ -279,3 +282,89 @@ class TestSerialization:
     def test_malformed_lists_rejected(self, key, value, message):
         with pytest.raises(ValueError, match=message):
             DecisionTree.from_dict({**self.VALID, key: value})
+
+
+def _fold_samples(ds, replicates, t):
+    """Row ids into ds of the t trees of every fold of a 5-fold plan, as in CV."""
+    plan = stratified_folds(ds, replicates, 5, 7)
+    samples = []
+    for r in range(replicates):
+        for f in range(5):
+            rows = plan.train_rows(r, f)
+            train = ds.subset(rows)
+            samples += [rows[s] for s in tree_samples(train, t, np.random.SeedSequence([7, r, f]))]
+    return samples
+
+
+class TestBatchedRoots:
+    """fit_trees_arrays grows every sample's tree byte for byte as
+    fit_tree_arrays grows it alone."""
+
+    @staticmethod
+    def assert_same_trees(X, y, samples, k, cfg, batched=None):
+        if batched is None:
+            batched = fit_trees_arrays(X, y, samples, k, cfg)
+        assert len(batched) == len(samples)
+        for s, tree in zip(samples, batched):
+            alone = fit_tree_arrays(X[s], y[s], k, cfg)
+            assert json.dumps(tree.to_dict()) == json.dumps(alone.to_dict())
+
+    @pytest.mark.parametrize("cfg", [TreeConfig(), TreeConfig(2, 7), TreeConfig(1, 2, 3)],
+                             ids=["default", "small-leaves", "depth-3"])
+    def test_fold_subsets_and_resamples(self, iris, wine, cancer, cfg):
+        for ds in (iris, wine, cancer):
+            samples = _fold_samples(ds, 1, 3)   # fold rows, then resamples with repeated rows
+            assert any(np.unique(s).size < s.size for s in samples)
+            self.assert_same_trees(ds.features, ds.labels, samples, ds.n_classes, cfg)
+
+    @pytest.mark.parametrize("cfg", [TreeConfig(), TreeConfig(max_depth=0)],
+                             ids=["default", "depth-0"])
+    def test_roots_that_are_leaves_at_once(self, cfg):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(200, 3))
+        y = rng.integers(1, 4, size=200)
+        X[:40] = 1.5                                    # constant rows
+        samples = [np.arange(200), np.arange(40),           # growing, constant
+                   np.flatnonzero(y == 2), np.arange(60, 79),  # pure, too few to split
+                   np.arange(0), slice(None),                  # no rows, all rows
+                   rng.integers(0, 200, size=200)]
+        self.assert_same_trees(X, y, samples, 3, cfg)
+        assert fit_trees_arrays(X, y, [], 3, cfg) == []
+
+    def test_missing_class_signed_zeros_and_ten_classes(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(300, 4))
+        X[:, 0] = rng.choice([-0.0, 0.0, 1.0, -1.0], size=300)  # ties mixing -0.0 and 0.0
+        y = rng.integers(1, 11, size=300)
+        missing = np.flatnonzero(y != 10)
+        samples = [missing[rng.integers(0, missing.size, size=missing.size)]] + [
+            rng.integers(0, 300, size=300) for _ in range(5)]
+        for cfg in (TreeConfig(), TreeConfig(1, 3)):
+            self.assert_same_trees(X, y, samples, 10, cfg)
+
+    def test_samples_spanning_several_batches(self, iris, monkeypatch):
+        roots_per_batch, grow = [], tree_module._grow
+
+        def counted(X, y0, sizes, *rest):
+            roots_per_batch.append(len(sizes))
+            return grow(X, y0, sizes, *rest)
+
+        monkeypatch.setattr(tree_module, "_grow", counted)
+        samples = _fold_samples(iris, 4, 3)
+        batched = fit_trees_arrays(iris.features, iris.labels, samples, iris.n_classes)
+        monkeypatch.undo()
+        assert len(roots_per_batch) >= 3 and min(roots_per_batch) > 1
+        self.assert_same_trees(iris.features, iris.labels, samples, iris.n_classes,
+                               TreeConfig(), batched)
+
+    def test_growth_peak_is_bounded_by_the_batch_budget(self, wine):
+        # one batch of all 150 roots would peak near 27 MiB; a level of a
+        # batch allocates a few arrays of at most _BATCH_ENTRIES 8-byte entries
+        samples = _fold_samples(wine, 10, 3)
+        tracemalloc.start()
+        try:
+            fit_trees_arrays(wine.features, wine.labels, samples, wine.n_classes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 8 * tree_module._BATCH_ENTRIES
