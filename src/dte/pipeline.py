@@ -66,10 +66,12 @@ class CvReport:
     """Per-fold error rates and timings for one method on one dataset.
 
     std_error is the sample standard deviation (ddof=1) across all
-    replicates x folds fold errors. A fold's train_seconds is its share of
-    the tree growth its replicate's folds ran together plus the fit steps
-    that are its own, so they sum to the method's fit time; test_seconds
-    is the wall-clock time of the fold's own predictions.
+    replicates x folds fold errors. A fold's train_seconds is the method's
+    own anchors and LDA plus t / t_max of the fold's shared time (its sample
+    drawing and an equal share of its replicate's tree growth) when the
+    method reads t of the t_max trees the fold grew for its call, so a
+    method run alone is charged all of it. test_seconds is the wall-clock
+    time of the fold's own predictions.
     """
 
     method: str
@@ -113,32 +115,16 @@ class CvReport:
         return out
 
 
-def _method_runner(name: str, cfg: TreeConfig):
-    """Map a method name to (samples, build, predict, width) callables.
-
-    ``samples(train, seed)`` gives the rows of each tree a fold's model
-    fits, as indices into the fold's training rows or a slice, and
-    ``build(train, samples, trees, seed)`` makes the model from its trees.
-    """
+def _trees_read(name: str) -> int:
+    """How many of a fold's trees a method reads: 1 for ``tree``, t for ``dte-<t>``."""
     key = name.lower()
-    if key == "tree":
-        return (lambda train, seed: [slice(None)], lambda train, samples, trees, seed: trees[0],
-                lambda tree, X: tree.predict(X), lambda tree: tree.n_leaves)
-    if key.startswith("dte-"):
-        try:
-            t = int(key[4:])
-        except ValueError:
-            raise ValueError(f"unknown method {name!r}") from None
-        if t < 1:
-            raise ValueError(f"unknown method {name!r}")
-
-        def build(train, samples, trees, seed):
-            emb = anchor_embedding(train.features, samples, trees)
-            return DteClassifier(emb, _anchor_span_lda(emb, train), cfg, t, seed)
-
-        return (lambda train, seed: tree_samples(train, t, seed), build, predict,
-                lambda clf: clf.embedding.m)
-    raise ValueError(f"unknown method {name!r}; expected 'tree' or 'dte-<t>'")
+    try:
+        t = 1 if key == "tree" else int(key[4:]) if key.startswith("dte-") else 0
+    except ValueError:
+        t = 0
+    if t < 1:
+        raise ValueError(f"unknown method {name!r}; expected 'tree' or 'dte-<t>'")
+    return t
 
 
 def cross_validate(ds: Dataset, methods: Sequence[str], replicates: int = 10,
@@ -149,49 +135,59 @@ def cross_validate(ds: Dataset, methods: Sequence[str], replicates: int = 10,
 
     Every method sees the same train/test splits and the same per-fold
     derived seeds, so reports are identical under reordering or
-    parallel execution. Per method, the trees of one replicate's folds are
-    grown together by ``fit_trees_arrays``, each equal to the tree a fold's
-    own fit grows. A fold's train time is an equal share of that growth
-    plus its own samples, anchors and LDA, so the shares sum to the
-    method's fit time; its test time is its own.
+    parallel execution. A fold grows its trees once for all methods: the
+    first fits the fold's rows and tree s its bootstrap resample s, so
+    ``tree`` reads the first and ``dte-<t>`` the first t (the default
+    ``dte-1,dte-3,tree`` grows 3 per fold). A replicate's folds grow them
+    together in one ``fit_trees_arrays`` call, each equal to the tree the
+    fold's own fit grows. See CvReport for how the shared time is charged.
     """
+    counts = [_trees_read(name) for name in methods]
     if plan is None:
         plan = stratified_folds(ds, replicates, folds, seed)
-    reports = []
-    for name in methods:
-        samples_fn, build_fn, predict_fn, width_fn = _method_runner(name, cfg)
-        errors = np.empty((plan.replicates, plan.folds))
-        train_s = np.empty_like(errors)
-        test_s = np.empty_like(errors)
-        widths = np.empty((plan.replicates, plan.folds), dtype=np.int64)
-        for r in range(plan.replicates):
-            fits, tree_rows = [], []   # (train, fold seed, tree samples) per fold; rows of ds
-            for f in range(plan.folds):
-                rows = plan.train_rows(r, f)
-                train = ds.subset(rows)
-                fold_seed = np.random.SeedSequence([seed, r, f])
-                t0 = time.perf_counter()
-                samples = samples_fn(train, fold_seed)
-                tree_rows += [rows[s] for s in samples]
-                fits.append((train, fold_seed, samples))
-                train_s[r, f] = time.perf_counter() - t0
+    if not counts:
+        return []
+    t_max = max(counts)
+    plain = [name.lower() == "tree" for name in methods]
+    errors, train_s, test_s = np.empty((3, len(methods), plan.replicates, plan.folds))
+    widths = np.empty(errors.shape, dtype=np.int64)
+    for r in range(plan.replicates):
+        fits, tree_rows = [], []   # (train, fold seed, tree samples) per fold; rows of ds
+        shared = np.empty(plan.folds)
+        for f in range(plan.folds):
+            rows = plan.train_rows(r, f)
+            train = ds.subset(rows)
+            fold_seed = np.random.SeedSequence([seed, r, f])
             t0 = time.perf_counter()
-            trees = iter(fit_trees_arrays(ds.features, ds.labels, tree_rows, ds.n_classes, cfg))
-            train_s[r] += (time.perf_counter() - t0) / plan.folds
-            for f, (train, fold_seed, samples) in enumerate(fits):
-                test_rows = plan.test_rows(r, f)
+            # `tree` alone draws no resample, so it runs on one-class folds as fit_tree does
+            samples = [slice(None)] if all(plain) else tree_samples(train, t_max, fold_seed)
+            tree_rows += [rows[s] for s in samples]
+            fits.append((train, fold_seed, samples))
+            shared[f] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        trees = fit_trees_arrays(ds.features, ds.labels, tree_rows, ds.n_classes, cfg)
+        shared += (time.perf_counter() - t0) / plan.folds
+        for f, (train, fold_seed, samples) in enumerate(fits):
+            test_rows = plan.test_rows(r, f)
+            fold_trees = trees[f * t_max:(f + 1) * t_max]
+            for i, t in enumerate(counts):
                 t0 = time.perf_counter()
-                model = build_fn(train, samples, [next(trees) for _ in samples], fold_seed)
-                t1 = time.perf_counter()
-                preds = predict_fn(model, ds.features[test_rows])
+                if plain[i]:
+                    model, widths[i, r, f] = fold_trees[0], fold_trees[0].n_leaves
+                    t1 = time.perf_counter()
+                    preds = model.predict(ds.features[test_rows])
+                else:
+                    emb = anchor_embedding(train.features, samples[:t], fold_trees[:t])
+                    model = DteClassifier(emb, _anchor_span_lda(emb, train), cfg, t, fold_seed)
+                    widths[i, r, f] = emb.m
+                    t1 = time.perf_counter()
+                    preds = predict(model, ds.features[test_rows])
                 t2 = time.perf_counter()
-                errors[r, f] = float(np.mean(preds != ds.labels[test_rows]))
-                train_s[r, f] += t1 - t0
-                test_s[r, f] = t2 - t1
-                widths[r, f] = width_fn(model)
-        reports.append(CvReport(name, errors, train_s, test_s, widths,
-                                ds.n, ds.p, ds.n_classes))
-    return reports
+                errors[i, r, f] = float(np.mean(preds != ds.labels[test_rows]))
+                train_s[i, r, f] = t1 - t0 + shared[f] * t / t_max
+                test_s[i, r, f] = t2 - t1
+    return [CvReport(name, errors[i], train_s[i], test_s[i], widths[i], ds.n, ds.p, ds.n_classes)
+            for i, name in enumerate(methods)]
 
 
 def timing_sweep(generator: Callable[[int], Dataset], sizes: Sequence[int],

@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dte.pipeline
 from dte import (DteClassifier, Embedding, LdaModel, TreeConfig, cross_validate, fit,
                  fit_lda, fit_tree, from_arrays, load_csv, predict, predict_lda, project,
                  timing_sweep)
 from dte.data import stratified_folds
 from dte.oracle import sample_mixture, three_cluster_spec
+from dte.tree import fit_trees_arrays
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -212,6 +214,54 @@ class TestCrossValidate:
     def test_unknown_method_rejected(self, iris):
         with pytest.raises(ValueError, match="unknown method"):
             cross_validate(iris, ["forest"], replicates=2, folds=5, seed=0)
+
+    @pytest.mark.parametrize("name", ["iris", "wine"])
+    def test_reports_equal_single_method_calls(self, name, request):
+        # the methods of one call share each fold's trees; every report must
+        # be what the method's own call gives, whatever the subset and order
+        ds = request.getfixturevalue(name)
+        alone = {m: cross_validate(ds, [m], replicates=2, seed=42)[0]
+                 for m in ("dte-1", "dte-3", "tree")}
+        for methods in (["dte-1", "dte-3", "tree"], ["tree", "dte-3", "dte-1"],
+                        ["dte-3", "dte-1", "dte-3"]):
+            reports = cross_validate(ds, methods, replicates=2, seed=42)
+            assert [rep.method for rep in reports] == methods
+            for rep in reports:
+                assert np.array_equal(rep.errors, alone[rep.method].errors), methods
+                assert np.array_equal(rep.leaf_counts, alone[rep.method].leaf_counts), methods
+
+    @pytest.mark.parametrize("methods, per_fold", [
+        (["dte-1", "dte-3", "tree"], 3), (["dte-3"], 3), (["tree"], 1), (["dte-1", "tree"], 1),
+        ([f"dte-{t}" for t in range(1, 11)], 10)],
+        ids=["default", "dte-3", "tree", "dte-1,tree", "dte-1..dte-10"])
+    def test_each_fold_grows_its_distinct_trees_once(self, iris, monkeypatch, methods, per_fold):
+        calls = []
+
+        def counting(X, y, samples, n_classes, cfg):
+            calls.append(len(samples))
+            return fit_trees_arrays(X, y, samples, n_classes, cfg)
+
+        monkeypatch.setattr(dte.pipeline, "fit_trees_arrays", counting)
+        cross_validate(iris, methods, replicates=2, folds=5, seed=42)
+        assert calls == [5 * per_fold] * 2
+
+    def test_tree_alone_runs_on_one_class_data(self):
+        ds = from_arrays(np.arange(40.0).reshape(20, 2), np.ones(20, int))
+        assert cross_validate(ds, ["tree"], replicates=2)[0].mean_error == 0.0
+        with pytest.raises(ValueError, match="two classes"):
+            cross_validate(ds, ["tree", "dte-1"], replicates=2)
+
+    def test_no_methods_give_no_reports(self, iris):
+        assert cross_validate(iris, [], replicates=2) == []
+
+    def test_unknown_method_rejected_before_any_growth(self, iris, monkeypatch):
+        def no_growth(*args):
+            raise AssertionError("trees grown before every method name was checked")
+
+        monkeypatch.setattr(dte.pipeline, "fit_trees_arrays", no_growth)
+        for methods in (["dte-1", "forest"], ["tree", "dte-0"], ["dte-x"]):
+            with pytest.raises(ValueError, match="unknown method"):
+                cross_validate(iris, methods, replicates=2)
 
     @pytest.mark.parametrize("name", ["iris", "wine", "cancer"])
     def test_batched_folds_equal_a_per_fold_loop(self, name, request):
