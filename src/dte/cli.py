@@ -247,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", required=True)
     p.add_argument("--no-header", dest="header", action="store_false")
     p.add_argument("--methods", default="dte-1,dte-3,tree",
-                   help="comma list of dte-<t> and tree; each fold grows its trees once "
-                        "for all methods, so dte-1,...,dte-10 cost the trees of dte-10")
+                   help="comma list of dte-<t> (t in ASCII digits) and tree; each fold "
+                        "grows its trees once for all methods, so dte-1,...,dte-10 cost "
+                        "the trees of dte-10")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--replicates", type=int, default=10)
     _add_tree_flags(p)

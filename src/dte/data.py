@@ -1,5 +1,6 @@
 """Dataset ingestion, the columnar CSV codec (``fit_schema``, ``encode`` and ``decode``
-over a tuple of ``Column``), stratified folds, and bootstrap resampling."""
+over a tuple of ``Column``), the row check of fitted models (``feature_rows``),
+stratified folds, and bootstrap resampling."""
 
 from __future__ import annotations
 
@@ -111,6 +112,16 @@ def from_arrays(X, y, label_column: str = "label") -> Dataset:
     schema = tuple(Column(f"x{j}", "numeric") for j in range(X.shape[1]))
     names = tuple(str(c) for c in range(1, int(y.max(initial=0)) + 1))
     return Dataset(X, y, schema, names, label_column)
+
+
+def feature_rows(X, p: int) -> np.ndarray:
+    """X as a float64 (q, p) matrix of finite values, the rows a fitted model reads."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != p:
+        raise ValueError(f"expected rows of {p} features, got shape {X.shape}")
+    if X.size and not np.all(np.isfinite(X)):
+        raise ValueError("inputs must be finite")
+    return X
 
 
 def _read(path, has_header: bool) -> tuple[list[str] | None, list[str], np.ndarray]:
@@ -369,19 +380,7 @@ def stratified_folds(ds: Dataset, replicates: int, folds: int, seed: int) -> Fol
     return FoldPlan(assignments, folds)
 
 
-@dataclass(frozen=True)
-class BootstrapSample:
-    """Row index multiset of size n drawn i.i.d. uniformly with replacement."""
-
-    indices: np.ndarray
-    seed: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-
-
-def bootstrap(ds: Dataset, seed) -> BootstrapSample:
-    """Draw a bootstrap sample of the dataset's rows; deterministic given seed."""
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, ds.n, size=ds.n)
-    return BootstrapSample(idx, seed)
+def bootstrap(ds: Dataset, seed) -> np.ndarray:
+    """The row ids (int64) of a bootstrap sample: n draws, uniform and with
+    replacement, from the dataset's rows; deterministic given seed."""
+    return np.random.default_rng(seed).integers(0, ds.n, size=ds.n)

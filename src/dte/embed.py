@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, bootstrap
+from .data import Dataset, bootstrap, feature_rows
 from .tree import DecisionTree, TreeConfig, fit_tree_arrays
 
 @dataclass(frozen=True, eq=False)
@@ -25,13 +25,12 @@ class Embedding:
     """Anchor matrix, intercept, and the trees they came from.
 
     anchors[j] is the mean of the training rows its owning tree routes to
-    leaf j; intercept[j] == -||anchors[j]||^2 / 2. Column blocks follow tree
-    order, with leaf_counts[s] columns for tree s.
+    leaf j; intercept[j] == -||anchors[j]||^2 / 2. Row blocks follow tree
+    order, one row per leaf, so the leaf counts are read from the trees.
     """
 
     anchors: np.ndarray
     intercept: np.ndarray
-    leaf_counts: tuple[int, ...]
     trees: tuple[DecisionTree, ...]
 
     def __post_init__(self):
@@ -56,8 +55,12 @@ class Embedding:
         return self.anchors.shape[1]
 
     @property
+    def leaf_counts(self) -> tuple[int, ...]:
+        return tuple(tree.n_leaves for tree in self.trees)
+
+    @property
     def n_trees(self) -> int:
-        return len(self.leaf_counts)
+        return len(self.trees)
 
     def to_dict(self) -> dict:
         """The anchors and the trees; `from_dict` derives the intercept and leaf counts."""
@@ -67,8 +70,7 @@ class Embedding:
     def from_dict(d: dict) -> "Embedding":
         anchors = np.asarray(d["W"], dtype=np.float64)
         trees = tuple(DecisionTree.from_dict(t) for t in d["trees"])
-        return Embedding(anchors, anchor_intercept(anchors),
-                         tuple(tree.n_leaves for tree in trees), trees)
+        return Embedding(anchors, anchor_intercept(anchors), trees)
 
 
 def _leaf_means_arrays(X: np.ndarray, tree: DecisionTree) -> np.ndarray:
@@ -90,15 +92,13 @@ def tree_samples(ds: Dataset, t: int, seed) -> list:
         raise ValueError("t must be >= 1")
     if ds.n_classes < 2:
         raise ValueError("supervised fitting needs at least two classes")
-    if isinstance(seed, np.random.SeedSequence):
-        entropy, spawn_key = seed.entropy, tuple(seed.spawn_key)
-    else:
-        entropy, spawn_key = seed, ()
-    # stateless per-tree streams keyed by the seed's own spawn key plus the
-    # tree index, so repeated fits with the same seed object stay identical
-    # and sibling seeds from SeedSequence.spawn draw different resamples
+    # the SeedSequence numpy makes of any seed it accepts (a SeedSequence is kept
+    # as is); stateless per-tree streams keyed by its spawn key plus the tree
+    # index, so repeated fits with the same seed object stay identical and
+    # sibling seeds from SeedSequence.spawn draw different resamples
+    root = np.random.default_rng(seed).bit_generator.seed_seq
     return [slice(None)] + [
-        bootstrap(ds, np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key + (s,))).indices
+        bootstrap(ds, np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, s)))
         for s in range(t - 1)]
 
 
@@ -106,8 +106,7 @@ def anchor_embedding(X: np.ndarray, samples, trees) -> Embedding:
     """The embedding whose anchor blocks, in tree order, are the leaf means of
     each tree over the rows X[s] of its sample s, which it was fitted on."""
     anchors = np.vstack([_leaf_means_arrays(X[rows], tree) for rows, tree in zip(samples, trees)])
-    return Embedding(anchors, anchor_intercept(anchors),
-                     tuple(tree.n_leaves for tree in trees), tuple(trees))
+    return Embedding(anchors, anchor_intercept(anchors), tuple(trees))
 
 
 def fit_embedding(ds: Dataset, cfg: TreeConfig, t: int, seed) -> Embedding:
@@ -135,9 +134,4 @@ def dte_t(ds: Dataset, cfg: TreeConfig, t: int, seed):
 
 def project(emb: Embedding, X) -> np.ndarray:
     """Affine embedding X W^T + 1 b^T of new rows; no tree traversal."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != emb.p:
-        raise ValueError(f"expected (q, {emb.p}) inputs, got shape {X.shape}")
-    if X.size and not np.all(np.isfinite(X)):
-        raise ValueError("inputs must be finite")
-    return X @ emb.anchors.T + emb.intercept
+    return feature_rows(X, emb.p) @ emb.anchors.T + emb.intercept

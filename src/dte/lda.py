@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import feature_rows
+
 
 @dataclass(frozen=True, eq=False)
 class LdaModel:
@@ -100,11 +102,7 @@ def _spectral_pinv(cov: np.ndarray) -> np.ndarray:
 
 def discriminant_scores(model: LdaModel, Z) -> np.ndarray:
     """Per-class discriminant z' S+ M_c - M_c' S+ M_c / 2 + log pi_c."""
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] != model.dim:
-        raise ValueError(f"expected (q, {model.dim}) inputs, got shape {Z.shape}")
-    if Z.size and not np.all(np.isfinite(Z)):
-        raise ValueError("inputs must be finite")
+    Z = feature_rows(Z, model.dim)
     proj = model.cov_pinv @ model.means.T          # (d, K)
     quad = 0.5 * np.einsum("cd,dc->c", model.means, proj)
     return Z @ proj - quad + model.log_priors

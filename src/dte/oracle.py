@@ -349,10 +349,6 @@ class GaussianMixtureSpec:
             raise ValueError("class priors must sum to 1")
 
     @property
-    def n_components(self) -> int:
-        return self.means.shape[0]
-
-    @property
     def n_classes(self) -> int:
         return self.class_priors.shape[0]
 

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, FoldPlan, stratified_folds
+from .data import Dataset, stratified_folds
 # dte_t, project and fit_tree are unused here; perfbench/spans.py traces them as
 # pipeline attributes
 from .embed import (Embedding, anchor_embedding, dte_t, fit_embedding, project,  # noqa: F401
@@ -116,12 +116,11 @@ class CvReport:
 
 
 def _trees_read(name: str) -> int:
-    """How many of a fold's trees a method reads: 1 for ``tree``, t for ``dte-<t>``."""
+    """How many of a fold's trees a method reads: 1 for ``tree``, t for ``dte-<t>``
+    with t in ASCII digits; case is ignored."""
     key = name.lower()
-    try:
-        t = 1 if key == "tree" else int(key[4:]) if key.startswith("dte-") else 0
-    except ValueError:
-        t = 0
+    digits = key[4:] if key.startswith("dte-") else ""
+    t = 1 if key == "tree" else int(digits) if digits.isascii() and digits.isdigit() else 0
     if t < 1:
         raise ValueError(f"unknown method {name!r}; expected 'tree' or 'dte-<t>'")
     return t
@@ -129,9 +128,9 @@ def _trees_read(name: str) -> int:
 
 def cross_validate(ds: Dataset, methods: Sequence[str], replicates: int = 10,
                    folds: int = 5, seed: int = 42,
-                   cfg: TreeConfig = TreeConfig(),
-                   plan: FoldPlan | None = None) -> list[CvReport]:
-    """Repeated stratified cross-validation with one shared fold plan.
+                   cfg: TreeConfig = TreeConfig()) -> list[CvReport]:
+    """Repeated stratified cross-validation on one shared fold plan,
+    ``stratified_folds(ds, replicates, folds, seed)``.
 
     Every method sees the same train/test splits and the same per-fold
     derived seeds, so reports are identical under reordering or
@@ -143,8 +142,7 @@ def cross_validate(ds: Dataset, methods: Sequence[str], replicates: int = 10,
     fold's own fit grows. See CvReport for how the shared time is charged.
     """
     counts = [_trees_read(name) for name in methods]
-    if plan is None:
-        plan = stratified_folds(ds, replicates, folds, seed)
+    plan = stratified_folds(ds, replicates, folds, seed)
     if not counts:
         return []
     t_max = max(counts)

@@ -35,7 +35,7 @@ from typing import Union
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, feature_rows
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,7 @@ class DecisionTree:
 
     def partition(self, X):
         """Yield (leaf, the ascending rows of X routed to it) for each leaf X reaches."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"expected {self.n_features} features, got shape {X.shape}")
-        if X.size and not np.all(np.isfinite(X)):
-            raise ValueError("inputs must be finite")
+        X = feature_rows(X, self.n_features)
         stack = [(self.root, np.arange(X.shape[0]))]
         while stack:
             node, idx = stack.pop()

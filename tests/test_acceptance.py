@@ -181,7 +181,7 @@ def test_p4_leaf_means_aggregate_to_global_mean(iris, wine, cancer):
         # each checked against the matrix it was actually fitted on
         matrices = [(ds.features, ds.labels)]
         for s in (1, 2):
-            idx = bootstrap(ds, [13, s]).indices
+            idx = bootstrap(ds, [13, s])
             matrices.append((ds.features[idx], ds.labels[idx]))
         for X, y in matrices:
             tree = fit_tree_arrays(X, y, ds.n_classes, TreeConfig())

@@ -161,18 +161,24 @@ class TestBootstrap:
     def test_single_row(self):
         ds = from_arrays([[1.0]], [1])
         for seed in range(5):
-            assert bootstrap(ds, seed).indices.tolist() == [0]
+            assert bootstrap(ds, seed).tolist() == [0]
 
     def test_deterministic(self, iris):
-        assert np.array_equal(bootstrap(iris, 12).indices, bootstrap(iris, 12).indices)
+        assert np.array_equal(bootstrap(iris, 12), bootstrap(iris, 12))
 
     def test_distinct_fraction_near_632(self):
         ds = from_arrays(np.arange(1000)[:, None].astype(float),
                          np.r_[np.ones(500, int), np.full(500, 2)])
-        fractions = [np.unique(bootstrap(ds, s).indices).size / 1000 for s in range(100)]
+        fractions = [np.unique(bootstrap(ds, s)).size / 1000 for s in range(100)]
         assert 0.60 <= np.mean(fractions) <= 0.67
 
     def test_indices_in_range(self, iris):
-        idx = bootstrap(iris, 0).indices
+        idx = bootstrap(iris, 0)
         assert idx.size == iris.n
         assert idx.min() >= 0 and idx.max() < iris.n
+
+    @pytest.mark.parametrize("seed", [0, 12, [13, 1], np.random.SeedSequence(5, spawn_key=(2,))])
+    def test_row_ids_are_the_seeded_draw(self, iris, seed):
+        idx = bootstrap(iris, seed)
+        assert isinstance(idx, np.ndarray) and idx.dtype == np.int64
+        assert np.array_equal(idx, np.random.default_rng(seed).integers(0, iris.n, iris.n))

@@ -7,7 +7,7 @@ import pytest
 from dte import Embedding, TreeConfig, dte_t, fit_embedding, from_arrays, project
 from dte.embed import _leaf_means_arrays, anchor_intercept
 from dte.oracle import sample_mixture, three_cluster_spec
-from dte.tree import fit_tree
+from dte.tree import DecisionTree, fit_tree
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +127,26 @@ class TestDteT:
             dte_t(iris, TreeConfig(), 0, seed=0)
 
 
+class TestLeafCounts:
+    """An embedding reads its leaf counts from its trees; nothing else states them."""
+
+    def test_read_from_the_trees(self, iris):
+        emb = fit_embedding(iris, TreeConfig(), 3, seed=5)
+        for built in (emb, Embedding(emb.anchors, emb.intercept, emb.trees),
+                      Embedding.from_dict(emb.to_dict())):
+            assert built.leaf_counts == tuple(tree.n_leaves for tree in emb.trees)
+            assert built.n_trees == 3
+
+    def test_anchor_matrix_one_row_short_rejected(self, iris):
+        emb = fit_embedding(iris, TreeConfig(), 3, seed=5)
+        short = emb.anchors[:-1], emb.intercept[:-1]
+        with pytest.raises(ValueError, match="leaf_counts must sum to the anchor count"):
+            Embedding(*short, emb.trees)
+        counts = (*emb.leaf_counts[:-1], emb.leaf_counts[-1] - 1)  # sums to the short W
+        with pytest.raises(TypeError):
+            Embedding(*short, counts, emb.trees)
+
+
 class TestProject:
     def test_training_matrix_reproduces_fit_embedding(self, wine):
         for t in (1, 3):
@@ -141,7 +161,10 @@ class TestProject:
 
     def test_two_anchor_scalar_loop_oracle(self, rng):
         anchors = np.array([[0.0, 0.0], [4.0, 2.0]])
-        emb = Embedding(anchors, anchor_intercept(anchors), (2,), ())
+        stump = DecisionTree.from_dict({  # x0 < 2 to leaf 0, else leaf 1
+            "n_features": 2, "n_classes": 2, "config": TreeConfig().to_dict(),
+            "feature": [0, -1, -1], "threshold": [2.0], "histogram": [[1, 0], [0, 1]]})
+        emb = Embedding(anchors, anchor_intercept(anchors), (stump,))
         X = rng.normal(size=(50, 2))
         out = project(emb, X)
         for i, x in enumerate(X):
@@ -153,9 +176,9 @@ class TestProject:
         X = iris.features[::7]
         blocks = []
         start = 0
-        for count in emb.leaf_counts:
+        for count, tree in zip(emb.leaf_counts, emb.trees):
             sub = Embedding(emb.anchors[start:start + count],
-                            emb.intercept[start:start + count], (count,), ())
+                            emb.intercept[start:start + count], (tree,))
             blocks.append(project(sub, X))
             start += count
         assert np.array_equal(np.hstack(blocks), project(emb, X))

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import dte.pipeline
-from dte import (DteClassifier, Embedding, LdaModel, TreeConfig, cross_validate, fit,
-                 fit_lda, fit_tree, from_arrays, load_csv, predict, predict_lda, project,
-                 timing_sweep)
+from dte import (DteClassifier, Embedding, LdaModel, TreeConfig, cross_validate,
+                 discriminant_scores, fit, fit_lda, fit_tree, from_arrays, load_csv, predict,
+                 predict_lda, project, timing_sweep)
 from dte.data import stratified_folds
 from dte.oracle import sample_mixture, three_cluster_spec
 from dte.tree import fit_trees_arrays
@@ -76,6 +76,22 @@ class TestFitPredict:
                           np.r_[np.ones(15, int), np.full(15, 2)])
         with pytest.raises(ValueError, match="dimension"):
             DteClassifier(clf.embedding, bad_lda, clf.config, 1, 0)
+
+    @pytest.mark.parametrize("X, message", [(np.zeros((3, 5)), "4 features"),
+                                            (np.full((3, 4), np.nan), "finite")],
+                             ids=["width", "nan"])
+    def test_model_parts_check_rows_alike(self, iris, X, message):
+        # the tree, the embedding and the LDA rule share one check of the rows they read
+        clf = fit(iris, TreeConfig(), t=2)
+        messages = []
+        for read in (lambda X: list(clf.embedding.trees[0].partition(X)),
+                     lambda X: project(clf.embedding, X),
+                     lambda X: discriminant_scores(clf.lda, X)):
+            with pytest.raises(ValueError) as exc:
+                read(X)
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1, messages
+        assert message in messages[0]
 
     def test_equality_is_identity(self, iris):
         # generated == would compare arrays elementwise and raise
@@ -191,11 +207,6 @@ class TestCrossValidate:
         b = cross_validate(iris, ["dte-1", "tree"], replicates=2, folds=5, seed=11)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.errors, rb.errors)
-        # explicit shared plan gives the same numbers
-        plan = stratified_folds(iris, 2, 5, seed=11)
-        c = cross_validate(iris, ["dte-1", "tree"], replicates=2, folds=5,
-                           seed=11, plan=plan)
-        assert np.array_equal(a[0].errors, c[0].errors)
 
     def test_report_accounting(self, iris):
         rep = cross_validate(iris, ["dte-1"], replicates=3, folds=5, seed=2)[0]
@@ -254,6 +265,23 @@ class TestCrossValidate:
     def test_no_methods_give_no_reports(self, iris):
         assert cross_validate(iris, [], replicates=2) == []
 
+    @pytest.mark.parametrize("name", ["dte-1_0", "dte- 2", "DTE-+3", "dte-\u0663", "dte-3 "])
+    def test_tree_count_must_be_ascii_digits(self, iris, monkeypatch, name):
+        # int() would read these as dte-10, dte-2, dte-3 (Arabic-Indic three), dte-3
+        def no_growth(*args):
+            raise AssertionError("trees grown for a misspelt method")
+
+        monkeypatch.setattr(dte.pipeline, "fit_trees_arrays", no_growth)
+        with pytest.raises(ValueError, match="unknown method"):
+            cross_validate(iris, [name], replicates=2)
+
+    def test_method_names_ignore_case_and_leading_zeros(self, iris):
+        spelt = cross_validate(iris, ["TREE", "DTE-3", "dte-03"], replicates=2, seed=42)
+        plain = cross_validate(iris, ["tree", "dte-3"], replicates=2, seed=42)
+        for rep, ref in zip(spelt, plain + plain[1:]):
+            assert np.array_equal(rep.errors, ref.errors)
+            assert np.array_equal(rep.leaf_counts, ref.leaf_counts)
+
     def test_unknown_method_rejected_before_any_growth(self, iris, monkeypatch):
         def no_growth(*args):
             raise AssertionError("trees grown before every method name was checked")
@@ -269,7 +297,7 @@ class TestCrossValidate:
         # what its own fit (or fit_tree) and predict give
         ds, cfg, seed = request.getfixturevalue(name), TreeConfig(), 42
         plan = stratified_folds(ds, 2, 5, seed)
-        reports = cross_validate(ds, ["dte-1", "dte-3", "tree"], seed=seed, plan=plan)
+        reports = cross_validate(ds, ["dte-1", "dte-3", "tree"], replicates=2, folds=5, seed=seed)
         for rep in reports:
             errors = np.empty((2, 5))
             widths = np.empty((2, 5), dtype=np.int64)

@@ -38,7 +38,7 @@ def _bundled(name, label):
 
 def _resampled(name, label):
     ds = load_csv(DATA_DIR / f"{name}.csv", label)
-    idx = bootstrap(ds, 11).indices
+    idx = bootstrap(ds, 11)
     return ds.features[idx], ds.labels[idx], ds.n_classes
 
 
