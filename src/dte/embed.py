@@ -74,11 +74,20 @@ class Embedding:
 
 
 def _leaf_means_arrays(X: np.ndarray, tree: DecisionTree) -> np.ndarray:
-    means = {leaf.leaf_id: X[rows].mean(axis=0) for leaf, rows in tree.partition(X)}
-    for j in range(tree.n_leaves):
-        if j not in means:
-            raise ValueError(f"leaf {j} received no rows; was the tree fitted on this data?")
-    return np.array([means[j] for j in range(tree.n_leaves)])
+    """The mean of the rows of X that the tree routes to each leaf.
+
+    Each leaf's sum starts at 0.0 and adds its rows in ascending order, as
+    numpy's X[rows].mean(axis=0) does for two or more columns, so those
+    means are equal bit for bit (numpy sums a single column pairwise).
+    """
+    leaf = tree.apply(X)
+    counts = np.bincount(leaf, minlength=tree.n_leaves)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise ValueError(f"leaf {empty[0]} received no rows; was the tree fitted on this data?")
+    sums = np.zeros((tree.n_leaves, X.shape[1]))
+    np.add.at(sums, leaf, X)
+    return sums / counts[:, None]
 
 
 def anchor_intercept(anchors: np.ndarray) -> np.ndarray:

@@ -32,6 +32,11 @@ class DteClassifier:
             raise ValueError("LDA dimension must equal the embedding's feature count")
         if any(tree.n_classes != self.lda.n_classes for tree in self.embedding.trees):
             raise ValueError(f"LDA class count {self.lda.n_classes} must equal the trees' class count")
+        if self.n_trees != self.embedding.n_trees:
+            raise ValueError(f"n_trees {self.n_trees} must equal the embedding's "
+                             f"{self.embedding.n_trees} trees")
+        if any(tree.config != self.config for tree in self.embedding.trees):
+            raise ValueError(f"every tree must be grown with the classifier's config {self.config}")
 
 
 def fit(ds_train: Dataset, cfg: TreeConfig = TreeConfig(), t: int = 1, seed=0) -> DteClassifier:

@@ -186,9 +186,11 @@ def fit_tree(ds: Dataset, cfg: TreeConfig = TreeConfig()) -> DecisionTree:
 # level lists (p per row) and among the candidates (p * (num_bins - 1) per
 # searched node, which has at least 2 * min_leaf_size rows). More roots per
 # batch pay the fixed cost of a level's numpy calls fewer times; larger
-# batches outgrow the cache and raise the peak memory (2**17 raised the
-# bundled-data cross-validation's peak RSS from 44 to 59 MiB).
-_BATCH_ENTRIES = 1 << 14
+# batches raise the peak memory. 2**16 grows breast_cancer's 455-row fold
+# roots (~19.8k entries each) 3 to a batch; it is the largest power of two
+# that holds the bundled-data cross-validation's peak RSS within 1 MiB of
+# 2**14's, and larger budgets ran it no faster in a sweep (CHANGES.md).
+_BATCH_ENTRIES = 1 << 16
 
 
 def fit_tree_arrays(X: np.ndarray, y: np.ndarray, n_classes: int,
@@ -226,31 +228,28 @@ def fit_trees_arrays(X: np.ndarray, y: np.ndarray, samples, n_classes: int,
             total = 0.0
         batches[-1].append(i)
         total += size * per_row
+    ids = np.arange(len(y0))
     for batch in batches:
-        if len(batch) == 1:
-            rows = samples[batch[0]]
-        else:
-            ids = np.arange(len(y0))
-            rows = np.concatenate([ids[samples[i]] for i in batch])
-        roots = _grow(X[rows], y0[rows], sizes[batch], counts[batch], gini[batch], cfg)
+        rows = np.concatenate([ids[samples[i]] for i in batch])
+        roots = _grow(X, y0, rows, sizes[batch], counts[batch], gini[batch], cfg)
         for i, root in zip(batch, roots):
             trees[i] = DecisionTree(root, _number_leaves(root), p, n_classes, cfg)
     return trees
 
 
-def _grow(X, y0, sizes, counts, gini, cfg):
+def _grow(X, y0, rows, sizes, counts, gini, cfg):
     """The root nodes of trees grown level by level from roots whose search runs.
 
-    Root r owns the rows sizes[:r].sum() .. sizes[:r + 1].sum() - 1 of (X, y0).
+    Root r owns the rows rows[sizes[:r].sum():sizes[:r + 1].sum()] of (X, y0).
     """
-    n, p = X.shape
-    col = _Columns(X, y0, counts.shape[1], sizes)
+    n, p = len(rows), X.shape[1]
+    col = _Columns(X, y0, rows, counts.shape[1])
     holders = [SplitNode(-1, 0.0) for _ in sizes]  # sentinels; each .left becomes a root
     targets = [(holder, "left") for holder in holders]  # where each node of the level attaches
     # Row j of `lists` holds, for each node of the level, the node's training
     # rows in feature j's order; node v owns entries starts[v] .. starts[v] +
     # sizes[v] - 1 of every row.
-    lists = col.order
+    lists = col.sorted_rows(sizes)
     starts = sizes.cumsum() - sizes
     depth = 0
     while targets:
@@ -287,8 +286,11 @@ def _grow(X, y0, sizes, counts, gini, cfg):
         side = np.zeros(n, dtype=np.int8)  # 1: row goes to a kept left child, 2: kept right
         side[flat[at]] = np.where(kept < len(split), 1, 2).astype(np.int8).repeat(sizes)
         side_at = side[flat]
-        lists = np.concatenate([flat.compress(side_at == 1).reshape(p, -1),
-                                flat.compress(side_at == 2).reshape(p, -1)], axis=1)
+        halves = [flat.compress(side_at == 1).reshape(p, -1),
+                  flat.compress(side_at == 2).reshape(p, -1)]
+        del lists, flat, side_at   # the level's lists go before the children's are joined
+        lists = np.concatenate(halves, axis=1)
+        del halves
         targets = [child_targets[c] for c in kept]
         depth += 1
 
@@ -296,27 +298,17 @@ def _grow(X, y0, sizes, counts, gini, cfg):
 
 
 class _Columns:
-    """The training columns, each sorted once, and the classes, indexed by row id.
+    """The training columns of a batch and their classes, indexed by row id.
 
-    Row j of `order` lists the training rows from feature j's smallest value
-    up, within one segment per root: root r owns the next root_sizes[r] rows
-    of X. `val` is X transposed and flattened, so row r's value of feature j
-    is val[j * n + r] (`offset[j]` is j * n). `word` holds each row's class
-    packed as a digit in base n + 1, so one prefix sum counts several
-    classes. Equal values may come in any order: the search reads only
-    values and counts, so the tree does not depend on it.
+    Row id r is the batch's r-th row, X[rows[r]]. `val` is the batch's rows
+    transposed and flattened, so row r's value of feature j is val[j * n + r]
+    (`offset[j]` is j * n). `word` holds each row's class packed as a digit
+    in base n + 1, so one prefix sum counts several classes.
     """
 
-    def __init__(self, X, y0, n_classes, root_sizes):
-        n, p = X.shape
-        XT = X.T.copy()
-        self.order = np.argsort(XT, axis=1)
-        if len(root_sizes) > 1:
-            # int16 ids sort by radix; a batch holds at most _BATCH_ENTRIES / 2 roots
-            root = np.repeat(np.arange(len(root_sizes), dtype=np.int16), root_sizes)
-            by_root = np.argsort(root[self.order], axis=1, kind="stable")
-            self.order = np.take_along_axis(self.order, by_root, axis=1)
-        self.val = XT.ravel()
+    def __init__(self, X, y0, rows, n_classes):
+        self.val = X.T.take(rows, axis=1).ravel()
+        n, p = len(rows), X.shape[1]
         self.offset = np.arange(p) * n
         self.base = n + 1
         self.digits = 1          # classes per int64 word: n * base**(digits-1) < 2**63
@@ -324,19 +316,34 @@ class _Columns:
             self.digits += 1
         cls = np.arange(n_classes)
         power = np.array([self.base ** d for d in range(self.digits)])[cls % self.digits]
-        self.word = [np.where(cls // self.digits == w, power, 0)[y0]
+        self.word = [np.where(cls // self.digits == w, power, 0)[y0[rows]]
                      for w in range(-(-n_classes // self.digits))]
 
+    def sorted_rows(self, root_sizes):
+        """Row j lists the row ids from feature j's smallest value up, within one
+        segment per root: root r owns the next root_sizes[r] row ids. Equal
+        values may come in any order: the search reads only values and counts,
+        so the tree does not depend on it."""
+        order = np.argsort(self.val.reshape(len(self.offset), -1), axis=1)
+        if len(root_sizes) > 1:
+            # the smallest unsigned ids, which numpy's stable sort orders by radix
+            root = np.repeat(np.arange(len(root_sizes), dtype=np.min_scalar_type(
+                len(root_sizes) - 1)), root_sizes)
+            order = np.take_along_axis(
+                order, np.argsort(root[order], axis=1, kind="stable"), axis=1)
+        return order
+
     def class_counts(self, lists, begin, end, n_classes):
-        """Class counts of entries begin[i] .. end[i] - 1 of `lists` (one row each)."""
-        p, width = lists.shape
-        prefix = np.zeros((p, width + 1), dtype=np.int64)
-        row = begin // width
-        b, e = begin + row, end + row    # positions in `prefix`, one column wider
+        """Class counts of entries begin[i] .. end[i] - 1 of `lists` (one row each),
+        each run holding at least one entry."""
+        total = np.empty(lists.shape, dtype=np.int64)   # running counts along each row
+        flat = total.ravel()
+        first = begin % lists.shape[1] == 0             # no entry before the run in its row
         out = np.empty((len(begin), n_classes), dtype=np.int64)
         for w, word in enumerate(self.word):
-            word[lists].cumsum(axis=1, out=prefix[:, 1:])
-            packed = prefix.ravel()[e] - prefix.ravel()[b]
+            np.take(word, lists, out=total, mode="wrap")   # ids are in range; unbuffered
+            total.cumsum(axis=1, out=total)
+            packed = flat[end - 1] - np.where(first, 0, flat[begin - 1])
             for c in range(w * self.digits, min(n_classes, (w + 1) * self.digits)):
                 out[:, c] = packed // self.base ** (c % self.digits) % self.base
         return out
@@ -378,7 +385,8 @@ def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
     at = seg[:, :, None] + lo[:, None, :]                     # lo <= n - 2 as i < B
     off = col.offset[:, None]
     below, above = col.val[flat[at] + off], col.val[flat[at + 1] + off]
-    cand = below * (1.0 - frac) + above * frac
+    cand = above * frac
+    cand += below * (1.0 - frac)     # below (1 - f) + above f, one level-sized temporary
     cand.sort(axis=2)
     # below sv[-1]; above sv[0] follows from left_n >= min_leaf_size >= 1
     inside = cand < col.val[flat[seg + (sizes - 1)[:, None]] + col.offset][:, :, None]
@@ -389,6 +397,7 @@ def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
     # candidate paired with a neighbour's rank too.
     node, j = idx // (p * (bins - 1)), idx // (bins - 1) % p
     c, a, b, at = cand.ravel()[idx], below.ravel()[idx], above.ravel()[idx], at.ravel()[idx]
+    del cand, below, above, inside   # the level's candidate arrays, before the counts
     begin = j * width + starts[node]
     left_n = at - begin + 1                                   # a < c <= b
     hard = ((c <= a) | (c > b)).nonzero()[0]
@@ -398,22 +407,13 @@ def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
         left_n[hard[opens]] -= 1
         hard = hard[~opens]
     if hard.size:
-        # the node's last entry below c, found in as many halving steps as the
-        # largest node holding such a candidate needs (in a batch, another
-        # root's nodes may be larger); a probe past the node is capped at its
-        # last entry, which c < sv[-1] never takes
-        size = sizes[node[hard]]
-        pos, last = begin[hard] - 1, begin[hard] + size - 1
-        shift, ch = col.offset[j[hard]], c[hard]
-        for step in 1 << np.arange(int(size.max()).bit_length())[::-1]:
-            probe = np.minimum(pos + step, last)
-            pos = np.where(col.val[flat[probe] + shift] < ch, probe, pos)
-        left_n[hard] = pos + 1 - begin[hard]
+        left_n[hard] = _count_below(col, flat, j[hard], begin[hard], sizes[node[hard]], c[hard])
     # keep candidates leaving min_leaf_size rows on both sides, and of those
     # with equal left_n on one node and feature (equal scores) the lowest
     ok = (left_n >= mls) & (sizes[node] - left_n >= mls)
     ok[1:] &= (left_n[1:] != left_n[:-1]) | (begin[1:] != begin[:-1])
     idx, node, c, left_n, begin = idx[ok], node[ok], c[ok], left_n[ok], begin[ok]
+    del j, a, b, at
 
     left_counts = col.class_counts(lists, begin, begin + left_n, k)
     right_counts = counts[node] - left_counts
@@ -434,6 +434,21 @@ def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
     thr, chosen_n, chosen_counts = np.zeros(m), np.zeros(m, np.int64), np.zeros((m, k), np.int64)
     thr[wins], chosen_n[wins], chosen_counts[wins] = c[pick], left_n[pick], left_counts[pick]
     return feat, thr, chosen_n, chosen_counts
+
+
+def _count_below(col, flat, j, begin, size, c):
+    """How many of the entries begin .. begin + size - 1 of `flat` (a node's
+    rows on feature j, ascending) hold a value below c, for c below the last.
+
+    The last entry below c is found in as many halving steps as the largest
+    node needs (in a batch, another root's nodes may be larger); a probe past
+    the node is capped at its last entry, which c never takes.
+    """
+    pos, last, shift = begin - 1, begin + size - 1, col.offset[j]
+    for step in 1 << np.arange(int(size.max()).bit_length())[::-1]:
+        probe = np.minimum(pos + step, last)
+        pos = np.where(col.val[flat[probe] + shift] < c, probe, pos)
+    return pos + 1 - begin
 
 
 def _sum_sq(q):

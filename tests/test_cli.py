@@ -250,6 +250,17 @@ class TestModelValidation:
         assert self.predict_with_edit(model_path, tmp_path, edit) == 2
         assert "tree histogram" in capsys.readouterr().err
 
+    def test_trees_grown_with_other_configs_exit_2(self, tmp_path, capsys):
+        model_path = tmp_path / "m3.json"
+        assert run("train", "--data", IRIS, "--label", "species", "--trees", "3",
+                   "--out", str(model_path)) == 0
+
+        def edit(model):
+            model["embedding"]["trees"][2]["config"]["min_leaf_size"] = 3
+        assert self.predict_with_edit(model_path, tmp_path, edit) == 2
+        err = capsys.readouterr().err
+        assert "malformed model" in err and "grown with the classifier's config" in err
+
     @pytest.mark.parametrize("features, classes, message", [
         (7, 3, "every tree must read W's 4 columns"),
         (4, 5, "LDA class count 3 must equal the trees' class count"),

@@ -35,6 +35,17 @@ class TestLeafMeans:
             json.loads(json.dumps(dte_t(wine, TreeConfig(), 1, 0)[1].to_dict()))).trees[0]
         assert np.array_equal(_leaf_means_arrays(wine.features, rebuilt), stored)
 
+    def test_bit_equal_to_each_leafs_own_mean(self, iris, wine, cancer):
+        signed = from_arrays([[-0.0, 0.0], [-0.0, 1.0], [-0.0, 2.0], [5.0, -0.0], [6.0, -0.0]],
+                             [1, 1, 1, 2, 2])   # a column of -0.0 averages to 0.0, as in numpy
+        for ds in (iris, wine, cancer, signed):
+            tree = fit_tree(ds, TreeConfig(min_leaf_size=1))
+            own = np.zeros((tree.n_leaves, ds.p))
+            for leaf, rows in tree.partition(ds.features):
+                own[leaf.leaf_id] = ds.features[rows].mean(axis=0)
+            means = _leaf_means_arrays(ds.features, tree)
+            assert np.array_equal(means.view(np.int64), own.view(np.int64))
+
     def test_leaf_without_rows_is_an_error(self, wine):
         tree = fit_tree(wine, TreeConfig())
         keep = tree.apply(wine.features) != 0

@@ -77,6 +77,16 @@ class TestFitPredict:
         with pytest.raises(ValueError, match="dimension"):
             DteClassifier(clf.embedding, bad_lda, clf.config, 1, 0)
 
+    @pytest.mark.parametrize("config, n_trees, message", [
+        (TreeConfig(min_leaf_size=3), 7, "n_trees 7 must equal the embedding's 1 trees"),
+        (TreeConfig(), 7, "n_trees 7"),
+        (TreeConfig(min_leaf_size=3), 1, "grown with the classifier's config"),
+    ], ids=["both", "n_trees", "config"])
+    def test_config_and_tree_count_are_the_trees(self, iris, config, n_trees, message):
+        clf = fit(iris, TreeConfig())
+        with pytest.raises(ValueError, match=message):
+            DteClassifier(clf.embedding, clf.lda, config, n_trees, 0)
+
     @pytest.mark.parametrize("X, message", [(np.zeros((3, 5)), "4 features"),
                                             (np.full((3, 4), np.nan), "finite")],
                              ids=["width", "nan"])

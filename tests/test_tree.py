@@ -342,29 +342,44 @@ class TestBatchedRoots:
         for cfg in (TreeConfig(), TreeConfig(1, 3)):
             self.assert_same_trees(X, y, samples, 10, cfg)
 
-    def test_samples_spanning_several_batches(self, iris, monkeypatch):
+    @staticmethod
+    def roots_per_grow(monkeypatch, ds, samples):
+        """fit_trees_arrays on the samples, and the root count of each _grow call."""
         roots_per_batch, grow = [], tree_module._grow
 
-        def counted(X, y0, sizes, *rest):
+        def counted(X, y0, rows, sizes, *rest):
             roots_per_batch.append(len(sizes))
-            return grow(X, y0, sizes, *rest)
+            return grow(X, y0, rows, sizes, *rest)
 
         monkeypatch.setattr(tree_module, "_grow", counted)
-        samples = _fold_samples(iris, 4, 3)
-        batched = fit_trees_arrays(iris.features, iris.labels, samples, iris.n_classes)
+        batched = fit_trees_arrays(ds.features, ds.labels, samples, ds.n_classes)
         monkeypatch.undo()
+        return batched, roots_per_batch
+
+    def test_samples_spanning_several_batches(self, wine, monkeypatch):
+        samples = _fold_samples(wine, 4, 3)
+        batched, roots_per_batch = self.roots_per_grow(monkeypatch, wine, samples)
         assert len(roots_per_batch) >= 3 and min(roots_per_batch) > 1
-        self.assert_same_trees(iris.features, iris.labels, samples, iris.n_classes,
+        self.assert_same_trees(wine.features, wine.labels, samples, wine.n_classes,
                                TreeConfig(), batched)
 
-    def test_growth_peak_is_bounded_by_the_batch_budget(self, wine):
-        # one batch of all 150 roots would peak near 27 MiB; a level of a
-        # batch allocates a few arrays of at most _BATCH_ENTRIES 8-byte entries
-        samples = _fold_samples(wine, 10, 3)
-        tracemalloc.start()
-        try:
-            fit_trees_arrays(wine.features, wine.labels, samples, wine.n_classes)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 8 * tree_module._BATCH_ENTRIES
+    def test_breast_cancer_folds_share_batches(self, cancer, monkeypatch):
+        # a 455-row, 30-feature fold root must not be too large to share a batch
+        samples = _fold_samples(cancer, 1, 1)
+        batched, roots_per_batch = self.roots_per_grow(monkeypatch, cancer, samples)
+        assert len(samples) == 5 and len(roots_per_batch) < len(samples)
+        self.assert_same_trees(cancer.features, cancer.labels, samples, cancer.n_classes,
+                               TreeConfig(), batched)
+
+    def test_growth_peak_is_bounded_by_the_batch_budget(self, iris, wine, cancer):
+        # one batch of all 150 wine roots would peak near 16 MiB; a level of a
+        # batch holds a few arrays of its list entries and candidates at once
+        for ds in (iris, wine, cancer):
+            samples = _fold_samples(ds, 10, 3)
+            tracemalloc.start()
+            try:
+                fit_trees_arrays(ds.features, ds.labels, samples, ds.n_classes)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 8 * 2 ** 14, (ds.n, peak)
