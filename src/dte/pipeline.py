@@ -14,7 +14,7 @@ from .data import Dataset, stratified_folds
 from .embed import (Embedding, anchor_embedding, dte_t, fit_embedding, project,  # noqa: F401
                     tree_samples)
 from .lda import LdaModel, fit_lda, predict_lda
-from .tree import TreeConfig, fit_tree, fit_trees_arrays  # noqa: F401
+from .tree import _BATCH_ENTRIES, TreeConfig, fit_tree, fit_trees_arrays  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,10 +42,11 @@ class DteClassifier:
 def fit(ds_train: Dataset, cfg: TreeConfig = TreeConfig(), t: int = 1, seed=0) -> DteClassifier:
     """Fit the anchors and the linear classifier (see _anchor_span_lda) on the training rows."""
     emb = fit_embedding(ds_train, cfg, t, seed)
-    return DteClassifier(emb, _anchor_span_lda(emb, ds_train), cfg, t, seed)
+    lda = _anchor_span_lda(emb, ds_train.features, ds_train.labels)
+    return DteClassifier(emb, lda, cfg, t, seed)
 
 
-def _anchor_span_lda(emb: Embedding, ds_train: Dataset) -> LdaModel:
+def _anchor_span_lda(emb: Embedding, X: np.ndarray, y: np.ndarray) -> LdaModel:
     """The LDA rule on x that pseudoinverse LDA on Z = X W^T + b amounts to.
 
     That LDA is invariant under the affine map, so it equals LDA on x
@@ -57,7 +58,7 @@ def _anchor_span_lda(emb: Embedding, ds_train: Dataset) -> LdaModel:
     """
     _, sv, vt = np.linalg.svd(emb.anchors, full_matrices=False)
     q = vt.T * (sv > sv[0] * max(emb.anchors.shape) * np.finfo(np.float64).eps)
-    span = fit_lda(ds_train.features @ q, ds_train.labels)
+    span = fit_lda(X @ q, y)
     return LdaModel(span.means @ q.T, q @ span.cov_pinv @ q.T, span.log_priors)
 
 
@@ -73,10 +74,10 @@ class CvReport:
     std_error is the sample standard deviation (ddof=1) across all
     replicates x folds fold errors. A fold's train_seconds is the method's
     own anchors and LDA plus t / t_max of the fold's shared time (its sample
-    drawing and an equal share of its replicate's tree growth) when the
-    method reads t of the t_max trees the fold grew for its call, so a
-    method run alone is charged all of it. test_seconds is the wall-clock
-    time of the fold's own predictions.
+    drawing and an equal share of the tree growth of its group of
+    replicates, see cross_validate) when the method reads t of the t_max
+    trees the fold grew for its call, so a method run alone is charged all
+    of it. test_seconds is the wall-clock time of the fold's own predictions.
     """
 
     method: str
@@ -142,9 +143,11 @@ def cross_validate(ds: Dataset, methods: Sequence[str], replicates: int = 10,
     parallel execution. A fold grows its trees once for all methods: the
     first fits the fold's rows and tree s its bootstrap resample s, so
     ``tree`` reads the first and ``dte-<t>`` the first t (the default
-    ``dte-1,dte-3,tree`` grows 3 per fold). A replicate's folds grow them
-    together in one ``fit_trees_arrays`` call, each equal to the tree the
-    fold's own fit grows. See CvReport for how the shared time is charged.
+    ``dte-1,dte-3,tree`` grows 3 per fold). Consecutive replicates' folds
+    grow them together in one ``fit_trees_arrays`` call while their samples
+    hold at most ``_BATCH_ENTRIES`` row ids, one replicate at least; each
+    tree equals the one the fold's own fit grows. See CvReport for how the
+    shared time is charged.
     """
     counts = [_trees_read(name) for name in methods]
     plan = stratified_folds(ds, replicates, folds, seed)
@@ -152,27 +155,30 @@ def cross_validate(ds: Dataset, methods: Sequence[str], replicates: int = 10,
         return []
     t_max = max(counts)
     plain = [name.lower() == "tree" for name in methods]
+    # a replicate's fold samples hold t_max n (folds - 1) row ids, as each row
+    # trains in folds - 1 folds; a group holds at most _BATCH_ENTRIES of them
+    group = max(1, _BATCH_ENTRIES // (t_max * ds.n * (plan.folds - 1)))
     errors, train_s, test_s = np.empty((3, len(methods), plan.replicates, plan.folds))
     widths = np.empty(errors.shape, dtype=np.int64)
-    for r in range(plan.replicates):
-        fits, tree_rows = [], []   # (train, fold seed, tree samples) per fold; rows of ds
-        shared = np.empty(plan.folds)
-        for f in range(plan.folds):
-            rows = plan.train_rows(r, f)
-            train = ds.subset(rows)
-            fold_seed = np.random.SeedSequence([seed, r, f])
-            t0 = time.perf_counter()
-            # `tree` alone draws no resample, so it runs on one-class folds as fit_tree does
-            samples = [slice(None)] if all(plain) else tree_samples(train, t_max, fold_seed)
-            tree_rows += [rows[s] for s in samples]
-            fits.append((train, fold_seed, samples))
-            shared[f] = time.perf_counter() - t0
+    for first in range(0, plan.replicates, group):
+        fits, tree_rows = [], []   # (replicate, fold, train rows, fold seed, draw time); rows of ds
+        for r in range(first, min(first + group, plan.replicates)):
+            for f in range(plan.folds):
+                rows = plan.train_rows(r, f)
+                train = ds.subset(rows)
+                fold_seed = np.random.SeedSequence([seed, r, f])
+                t0 = time.perf_counter()
+                # `tree` alone draws no resample, so it runs on one-class folds as fit_tree does
+                samples = [slice(None)] if all(plain) else tree_samples(train, t_max, fold_seed)
+                tree_rows += [rows[s] for s in samples]
+                fits.append((r, f, rows, fold_seed, time.perf_counter() - t0))
         t0 = time.perf_counter()
         trees = fit_trees_arrays(ds.features, ds.labels, tree_rows, ds.n_classes, cfg)
-        shared += (time.perf_counter() - t0) / plan.folds
-        for f, (train, fold_seed, samples) in enumerate(fits):
+        grown = (time.perf_counter() - t0) / len(fits)
+        for k, (r, f, rows, fold_seed, drawn) in enumerate(fits):
             test_rows = plan.test_rows(r, f)
-            fold_trees = trees[f * t_max:(f + 1) * t_max]
+            fold = slice(k * t_max, (k + 1) * t_max)
+            fold_trees, fold_rows = trees[fold], tree_rows[fold]
             for i, t in enumerate(counts):
                 t0 = time.perf_counter()
                 if plain[i]:
@@ -180,14 +186,15 @@ def cross_validate(ds: Dataset, methods: Sequence[str], replicates: int = 10,
                     t1 = time.perf_counter()
                     preds = model.predict(ds.features[test_rows])
                 else:
-                    emb = anchor_embedding(train.features, samples[:t], fold_trees[:t])
-                    model = DteClassifier(emb, _anchor_span_lda(emb, train), cfg, t, fold_seed)
+                    emb = anchor_embedding(ds.features, fold_rows[:t], fold_trees[:t])
+                    lda = _anchor_span_lda(emb, ds.features[rows], ds.labels[rows])
+                    model = DteClassifier(emb, lda, cfg, t, fold_seed)
                     widths[i, r, f] = emb.m
                     t1 = time.perf_counter()
                     preds = predict(model, ds.features[test_rows])
                 t2 = time.perf_counter()
                 errors[i, r, f] = float(np.mean(preds != ds.labels[test_rows]))
-                train_s[i, r, f] = t1 - t0 + shared[f] * t / t_max
+                train_s[i, r, f] = t1 - t0 + (drawn + grown) * t / t_max
                 test_s[i, r, f] = t2 - t1
     return [CvReport(name, errors[i], train_s[i], test_s[i], widths[i], ds.n, ds.p, ds.n_classes)
             for i, name in enumerate(methods)]

@@ -23,9 +23,9 @@ search over each node's own sorted values, so growing node by node gives the
 same trees; tests/test_tree_golden.py pins them.
 
 The trees of several samples (the folds of a cross-validation) grow together:
-their roots are just more nodes of each level. The rows of all roots of a
-batch are sorted once, then partitioned stably by root, so each root owns its
-own segment of every sorted column from the start.
+their roots are just more nodes of each level. Each root's rows are sorted on
+their own, into the root's segment of every sorted column, so each root owns
+its segment from the start.
 """
 
 from __future__ import annotations
@@ -190,6 +190,9 @@ def fit_tree(ds: Dataset, cfg: TreeConfig = TreeConfig()) -> DecisionTree:
 # roots (~19.8k entries each) 3 to a batch; it is the largest power of two
 # that holds the bundled-data cross-validation's peak RSS within 1 MiB of
 # 2**14's, and larger budgets ran it no faster in a sweep (CHANGES.md).
+# pipeline.cross_validate also grows consecutive replicates in one call while
+# their samples hold at most this many row ids, which put that peak RSS at
+# 46.6 MiB (45.2 with one replicate per call; CHANGES.md).
 _BATCH_ENTRIES = 1 << 16
 
 
@@ -324,13 +327,10 @@ class _Columns:
         segment per root: root r owns the next root_sizes[r] row ids. Equal
         values may come in any order: the search reads only values and counts,
         so the tree does not depend on it."""
-        order = np.argsort(self.val.reshape(len(self.offset), -1), axis=1)
-        if len(root_sizes) > 1:
-            # the smallest unsigned ids, which numpy's stable sort orders by radix
-            root = np.repeat(np.arange(len(root_sizes), dtype=np.min_scalar_type(
-                len(root_sizes) - 1)), root_sizes)
-            order = np.take_along_axis(
-                order, np.argsort(root[order], axis=1, kind="stable"), axis=1)
+        val = self.val.reshape(len(self.offset), -1)
+        order, ends = np.empty(val.shape, dtype=np.int64), root_sizes.cumsum()
+        for begin, end in zip((ends - root_sizes).tolist(), ends.tolist()):
+            order[:, begin:end] = np.argsort(val[:, begin:end], axis=1) + begin
         return order
 
     def class_counts(self, lists, begin, end, n_classes):

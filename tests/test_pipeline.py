@@ -10,6 +10,7 @@ import dte.pipeline
 from dte import (DteClassifier, Embedding, LdaModel, TreeConfig, cross_validate,
                  discriminant_scores, fit, fit_lda, fit_tree, from_arrays, load_csv, predict,
                  predict_lda, project, timing_sweep)
+from dte import tree as tree_module
 from dte.data import stratified_folds
 from dte.oracle import sample_mixture, three_cluster_spec
 from dte.tree import fit_trees_arrays
@@ -251,11 +252,9 @@ class TestCrossValidate:
                 assert np.array_equal(rep.errors, alone[rep.method].errors), methods
                 assert np.array_equal(rep.leaf_counts, alone[rep.method].leaf_counts), methods
 
-    @pytest.mark.parametrize("methods, per_fold", [
-        (["dte-1", "dte-3", "tree"], 3), (["dte-3"], 3), (["tree"], 1), (["dte-1", "tree"], 1),
-        ([f"dte-{t}" for t in range(1, 11)], 10)],
-        ids=["default", "dte-3", "tree", "dte-1,tree", "dte-1..dte-10"])
-    def test_each_fold_grows_its_distinct_trees_once(self, iris, monkeypatch, methods, per_fold):
+    @staticmethod
+    def growth_calls(monkeypatch, ds, methods, replicates):
+        """The sample count of each fit_trees_arrays call of a 5-fold cross_validate."""
         calls = []
 
         def counting(X, y, samples, n_classes, cfg):
@@ -263,8 +262,44 @@ class TestCrossValidate:
             return fit_trees_arrays(X, y, samples, n_classes, cfg)
 
         monkeypatch.setattr(dte.pipeline, "fit_trees_arrays", counting)
-        cross_validate(iris, methods, replicates=2, folds=5, seed=42)
-        assert calls == [5 * per_fold] * 2
+        cross_validate(ds, methods, replicates=replicates, folds=5, seed=42)
+        monkeypatch.undo()
+        return calls
+
+    @pytest.mark.parametrize("methods, per_fold", [
+        (["dte-1", "dte-3", "tree"], 3), (["dte-3"], 3), (["tree"], 1), (["dte-1", "tree"], 1),
+        ([f"dte-{t}" for t in range(1, 11)], 10)],
+        ids=["default", "dte-3", "tree", "dte-1,tree", "dte-1..dte-10"])
+    def test_each_fold_grows_its_distinct_trees_once(self, iris, monkeypatch, methods, per_fold):
+        calls = self.growth_calls(monkeypatch, iris, methods, 2)
+        assert sum(calls) == 2 * 5 * per_fold
+        assert len(calls) == 1   # iris's two replicates share one call
+
+    @pytest.mark.parametrize("fill", [0, 1], ids=["half-bound", "over-half"])
+    def test_replicates_share_a_call_within_the_batch_bound(self, monkeypatch, fill):
+        # a dte-3 replicate's fold samples hold 3 * 4 * n row ids; two
+        # replicates share a call while they hold at most _BATCH_ENTRIES
+        n = tree_module._BATCH_ENTRIES // (2 * 3 * 4) + fill
+        ds = from_arrays(np.arange(2.0 * n).reshape(n, 2), np.arange(n) * 2 // n + 1)
+        calls = self.growth_calls(monkeypatch, ds, ["dte-3"], 3)
+        assert calls == ([30, 15] if fill == 0 else [15] * 3)
+
+    def test_growth_peak_does_not_grow_with_replicates(self):
+        # each replicate's fold samples fill more than half the batch bound,
+        # so replicates grow one per call and the peak is one replicate's
+        n = tree_module._BATCH_ENTRIES // (2 * 3 * 4) + 1
+        rng = np.random.default_rng(0)
+        y = rng.integers(1, 4, size=n)
+        ds = from_arrays(rng.normal(size=(3, 8))[y - 1] * 6 + rng.normal(size=(n, 8)), y)
+        peaks = []
+        for replicates in (1, 3):
+            tracemalloc.start()
+            try:
+                cross_validate(ds, ["dte-3", "tree"], replicates=replicates, folds=5, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
 
     def test_tree_alone_runs_on_one_class_data(self):
         ds = from_arrays(np.arange(40.0).reshape(20, 2), np.ones(20, int))

@@ -371,6 +371,26 @@ class TestBatchedRoots:
         self.assert_same_trees(cancer.features, cancer.labels, samples, cancer.n_classes,
                                TreeConfig(), batched)
 
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_each_root_sorts_its_own_rows(self, seed, roots):
+        # fold subsets, resamples with repeated rows, and columns of ties mixing -0.0 and 0.0
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 80))
+        X = np.column_stack([rng.normal(size=n), rng.choice([-0.0, 0.0, 1.0, -2.5], size=n),
+                             rng.integers(0, 3, size=n).astype(np.float64)])
+        y0 = rng.integers(0, 3, size=n)
+        samples = [np.flatnonzero(rng.random(n) < 0.8) if rng.random() < 0.5
+                   else rng.integers(0, n, size=n) for _ in range(roots)]
+        rows = np.concatenate(samples)
+        sizes = np.array([s.size for s in samples], dtype=np.int64)
+        lists = tree_module._Columns(X, y0, rows, 3).sorted_rows(sizes)
+        assert lists.shape == (3, rows.size)
+        for begin, end in zip(sizes.cumsum() - sizes, sizes.cumsum()):
+            for j, order in enumerate(lists[:, begin:end]):
+                assert np.array_equal(np.sort(order), np.arange(begin, end))
+                assert np.all(np.diff(X[rows[order], j]) >= 0)
+
     def test_growth_peak_is_bounded_by_the_batch_budget(self, iris, wine, cancer):
         # one batch of all 150 wine roots would peak near 16 MiB; a level of a
         # batch holds a few arrays of its list entries and candidates at once
