@@ -62,7 +62,7 @@ def cmd_train(args) -> int:
         "lda": clf.lda.to_dict(),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(model, fh)
+        fh.write(json.dumps(model))   # the C encoder; json.dump streams through Python's
     if args.verbose:
         rank = np.linalg.matrix_rank(clf.embedding.anchors)
         kept = np.linalg.matrix_rank(clf.lda.cov_pinv, hermitian=True)

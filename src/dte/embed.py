@@ -1,10 +1,11 @@
 """Leaf-mean anchor embeddings.
 
-A fitted tree routes the training rows to its leaves; the per-leaf sample
-means become anchor rows of a matrix W with intercepts b_j = -||W_j||^2 / 2,
-and inputs are embedded affinely as Z = X W^T + 1 b^T. The half-norm
-intercept makes coordinate j order points by closeness to anchor j:
-Z_j(x) - Z_k(x) = (||x-mu_k||^2 - ||x-mu_j||^2) / 2, so the largest
+The grower places every training row in a leaf and hands back each row's
+leaf id, so no training row is routed through the fitted tree again; the
+per-leaf sample means become anchor rows of a matrix W with intercepts
+b_j = -||W_j||^2 / 2, and inputs are embedded affinely as Z = X W^T + 1 b^T.
+The half-norm intercept makes coordinate j order points by closeness to
+anchor j: Z_j(x) - Z_k(x) = (||x-mu_k||^2 - ||x-mu_j||^2) / 2, so the largest
 coordinate names the nearest anchor. (Downstream linear classification is
 invariant to the intercept convention, which only shifts the embedded cloud
 by a constant vector.) Ensembles concatenate the anchors of one tree fitted
@@ -74,19 +75,24 @@ class Embedding:
 
 
 def _leaf_means_arrays(X: np.ndarray, tree: DecisionTree) -> np.ndarray:
-    """The mean of the rows of X that the tree routes to each leaf.
+    """The mean of the rows of X that the tree routes to each leaf."""
+    return _leaf_means(X, tree.apply(X), tree.n_leaves)
+
+
+def _leaf_means(X: np.ndarray, leaf: np.ndarray, n_leaves: int) -> np.ndarray:
+    """The mean of the rows of X in each of n_leaves leaves, row i lying in leaf[i].
 
     Each leaf's sum starts at 0.0 and adds its rows in ascending order, as
     numpy's X[rows].mean(axis=0) does for two or more columns, so those
     means are equal bit for bit (numpy sums a single column pairwise).
     """
-    leaf = tree.apply(X)
-    counts = np.bincount(leaf, minlength=tree.n_leaves)
+    counts = np.bincount(leaf, minlength=n_leaves)
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise ValueError(f"leaf {empty[0]} received no rows; was the tree fitted on this data?")
-    sums = np.zeros((tree.n_leaves, X.shape[1]))
-    np.add.at(sums, leaf, X)
+    sums = np.empty((n_leaves, X.shape[1]))
+    for j in range(X.shape[1]):
+        sums[:, j] = np.bincount(leaf, weights=X[:, j], minlength=n_leaves)
     return sums / counts[:, None]
 
 
@@ -111,10 +117,12 @@ def tree_samples(ds: Dataset, t: int, seed) -> list:
         for s in range(t - 1)]
 
 
-def anchor_embedding(X: np.ndarray, samples, trees) -> Embedding:
+def anchor_embedding(X: np.ndarray, samples, trees, leaf_ids) -> Embedding:
     """The embedding whose anchor blocks, in tree order, are the leaf means of
-    each tree over the rows X[s] of its sample s, which it was fitted on."""
-    anchors = np.vstack([_leaf_means_arrays(X[rows], tree) for rows, tree in zip(samples, trees)])
+    each tree over the rows X[s] of its sample s, which it was fitted on;
+    leaf_ids holds, per sample, the leaf its grower placed each row in."""
+    anchors = np.vstack([_leaf_means(X[rows], leaf, tree.n_leaves)
+                         for rows, tree, leaf in zip(samples, trees, leaf_ids)])
     return Embedding(anchors, anchor_intercept(anchors), tuple(trees))
 
 
@@ -123,12 +131,14 @@ def fit_embedding(ds: Dataset, cfg: TreeConfig, t: int, seed) -> Embedding:
 
     Anchor blocks are concatenated in tree order; each bootstrap tree's leaf
     means are taken over its own resampled rows (duplicates counted with
-    multiplicity). No row is embedded; `project` does that.
+    multiplicity), in the leaves the grower placed them in. No row is
+    embedded; `project` does that.
     """
-    samples = tree_samples(ds, t, seed)
-    trees = [fit_tree_arrays(ds.features[rows], ds.labels[rows], ds.n_classes, cfg)
+    samples, leaf_ids = tree_samples(ds, t, seed), []
+    trees = [fit_tree_arrays(ds.features[rows], ds.labels[rows], ds.n_classes, cfg,
+                             leaf_ids=leaf_ids)
              for rows in samples]
-    return anchor_embedding(ds.features, samples, trees)
+    return anchor_embedding(ds.features, samples, trees, leaf_ids)
 
 
 def dte_t(ds: Dataset, cfg: TreeConfig, t: int, seed):

@@ -160,25 +160,28 @@ def cross_validate(ds: Dataset, methods: Sequence[str], replicates: int = 10,
     group = max(1, _BATCH_ENTRIES // (t_max * ds.n * (plan.folds - 1)))
     errors, train_s, test_s = np.empty((3, len(methods), plan.replicates, plan.folds))
     widths = np.empty(errors.shape, dtype=np.int64)
-    for first in range(0, plan.replicates, group):
+
+    def grow_and_score(replicates):
+        """Grow the folds of these replicates together and score every method on
+        them; nothing of the group outlives the call, so the next grows alone."""
         fits, tree_rows = [], []   # (replicate, fold, train rows, fold seed, draw time); rows of ds
-        for r in range(first, min(first + group, plan.replicates)):
+        for r in replicates:
             for f in range(plan.folds):
                 rows = plan.train_rows(r, f)
-                train = ds.subset(rows)
                 fold_seed = np.random.SeedSequence([seed, r, f])
                 t0 = time.perf_counter()
                 # `tree` alone draws no resample, so it runs on one-class folds as fit_tree does
-                samples = [slice(None)] if all(plain) else tree_samples(train, t_max, fold_seed)
+                samples = ([slice(None)] if all(plain) else
+                           tree_samples(ds.subset(rows), t_max, fold_seed))
                 tree_rows += [rows[s] for s in samples]
                 fits.append((r, f, rows, fold_seed, time.perf_counter() - t0))
-        t0 = time.perf_counter()
-        trees = fit_trees_arrays(ds.features, ds.labels, tree_rows, ds.n_classes, cfg)
+        t0, leaf_ids = time.perf_counter(), []
+        trees = fit_trees_arrays(ds.features, ds.labels, tree_rows, ds.n_classes, cfg, leaf_ids)
         grown = (time.perf_counter() - t0) / len(fits)
         for k, (r, f, rows, fold_seed, drawn) in enumerate(fits):
             test_rows = plan.test_rows(r, f)
             fold = slice(k * t_max, (k + 1) * t_max)
-            fold_trees, fold_rows = trees[fold], tree_rows[fold]
+            fold_trees, fold_rows, fold_ids = trees[fold], tree_rows[fold], leaf_ids[fold]
             for i, t in enumerate(counts):
                 t0 = time.perf_counter()
                 if plain[i]:
@@ -186,7 +189,8 @@ def cross_validate(ds: Dataset, methods: Sequence[str], replicates: int = 10,
                     t1 = time.perf_counter()
                     preds = model.predict(ds.features[test_rows])
                 else:
-                    emb = anchor_embedding(ds.features, fold_rows[:t], fold_trees[:t])
+                    emb = anchor_embedding(ds.features, fold_rows[:t], fold_trees[:t],
+                                           fold_ids[:t])
                     lda = _anchor_span_lda(emb, ds.features[rows], ds.labels[rows])
                     model = DteClassifier(emb, lda, cfg, t, fold_seed)
                     widths[i, r, f] = emb.m
@@ -196,6 +200,9 @@ def cross_validate(ds: Dataset, methods: Sequence[str], replicates: int = 10,
                 errors[i, r, f] = float(np.mean(preds != ds.labels[test_rows]))
                 train_s[i, r, f] = t1 - t0 + (drawn + grown) * t / t_max
                 test_s[i, r, f] = t2 - t1
+
+    for first in range(0, plan.replicates, group):
+        grow_and_score(range(first, min(first + group, plan.replicates)))
     return [CvReport(name, errors[i], train_s[i], test_s[i], widths[i], ds.n, ds.p, ds.n_classes)
             for i, name in enumerate(methods)]
 

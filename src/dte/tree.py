@@ -17,7 +17,10 @@ x candidates, like LightGBM's node-parallel split search (Ke et al., 2017); a
 candidate on a run of tied values bisects its node's values. A split marks
 each row's side in one n-entry array and partitions each list stably into the
 children's segments, so no node sorts again, and a child that is already a
-leaf leaves the lists. Leaves are numbered in pre-order once growth ends. The
+leaf leaves the lists. A node that becomes a leaf writes its index in the
+order leaves are made onto its rows, which its segment of the lists names, so
+growth ends knowing each training row's leaf; the pre-order numbering of the
+leaves, done once growth ends, turns those indices into leaf ids. The
 candidates, scores and tie-breaks use the same floating-point arithmetic as a
 search over each node's own sorted values, so growing node by node gives the
 same trees; tests/test_tree_golden.py pins them.
@@ -197,18 +200,22 @@ _BATCH_ENTRIES = 1 << 16
 
 
 def fit_tree_arrays(X: np.ndarray, y: np.ndarray, n_classes: int,
-                    cfg: TreeConfig = TreeConfig()) -> DecisionTree:
-    """Fit on raw arrays; used for bootstrap resamples that may miss classes."""
-    return fit_trees_arrays(X, y, [slice(None)], n_classes, cfg)[0]
+                    cfg: TreeConfig = TreeConfig(), leaf_ids: list | None = None) -> DecisionTree:
+    """Fit on raw arrays; used for bootstrap resamples that may miss classes.
+    A list passed as leaf_ids receives the leaf id of each row of X."""
+    return fit_trees_arrays(X, y, [slice(None)], n_classes, cfg, leaf_ids)[0]
 
 
 def fit_trees_arrays(X: np.ndarray, y: np.ndarray, samples, n_classes: int,
-                     cfg: TreeConfig = TreeConfig()) -> list[DecisionTree]:
+                     cfg: TreeConfig = TreeConfig(),
+                     leaf_ids: list | None = None) -> list[DecisionTree]:
     """One tree per sample, each equal to ``fit_tree_arrays(X[s], y[s], ...)``.
 
     A sample is a row-index array into X (repeated rows allowed) or a slice.
     The roots are grown together, in batches of at most _BATCH_ENTRIES
-    entries per level, as more nodes of each level.
+    entries per level, as more nodes of each level. A list passed as
+    leaf_ids receives, for each sample in turn, the leaf id of each of the
+    sample's rows, as the grower placed them: ``tree.apply(X[s])``.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y0 = np.asarray(y, dtype=np.int64) - 1
@@ -219,13 +226,13 @@ def fit_trees_arrays(X: np.ndarray, y: np.ndarray, samples, n_classes: int,
                       dtype=np.int64).reshape(len(ys), n_classes)
     gini, searched = _search_runs(sizes, counts, 0, cfg)
     per_row = p * max(1.0, (cfg.num_bins - 1) / (2 * cfg.min_leaf_size))  # worst case, per level
-    trees, batches, total = [], [], np.inf
+    trees, leaves, batches, total = [None] * len(ys), [None] * len(ys), [], np.inf
     for i, (size, runs) in enumerate(zip(sizes.tolist(), searched.tolist())):
         if not runs or p == 0:
             leaf = LeafNode(0, counts[i])
-            trees.append(DecisionTree(leaf, [leaf], p, n_classes, cfg))
+            trees[i] = DecisionTree(leaf, [leaf], p, n_classes, cfg)
+            leaves[i] = np.zeros(size, dtype=np.int64)
             continue
-        trees.append(None)
         if total + size * per_row > _BATCH_ENTRIES:
             batches.append([])
             total = 0.0
@@ -234,14 +241,22 @@ def fit_trees_arrays(X: np.ndarray, y: np.ndarray, samples, n_classes: int,
     ids = np.arange(len(y0))
     for batch in batches:
         rows = np.concatenate([ids[samples[i]] for i in batch])
-        roots = _grow(X, y0, rows, sizes[batch], counts[batch], gini[batch], cfg)
+        roots, made, made_at = _grow(X, y0, rows, sizes[batch], counts[batch], gini[batch], cfg)
         for i, root in zip(batch, roots):
             trees[i] = DecisionTree(root, _number_leaves(root), p, n_classes, cfg)
+        # the pre-order numbering maps each leaf's creation index to its leaf id
+        leaf = np.array([node.leaf_id for node in made], dtype=np.int64)[made_at]
+        for i, rows_leaf in zip(batch, np.split(leaf, sizes[batch].cumsum()[:-1])):
+            leaves[i] = rows_leaf
+    if leaf_ids is not None:
+        leaf_ids += leaves
     return trees
 
 
 def _grow(X, y0, rows, sizes, counts, gini, cfg):
-    """The root nodes of trees grown level by level from roots whose search runs.
+    """Trees grown level by level from roots whose search runs: their root
+    nodes, their leaves in the order they were made, and for each row id the
+    index in that order of the leaf that holds it.
 
     Root r owns the rows rows[sizes[:r].sum():sizes[:r + 1].sum()] of (X, y0).
     """
@@ -254,6 +269,7 @@ def _grow(X, y0, rows, sizes, counts, gini, cfg):
     # sizes[v] - 1 of every row.
     lists = col.sorted_rows(sizes)
     starts = sizes.cumsum() - sizes
+    made, made_at = [], np.empty(n, dtype=np.int64)
     depth = 0
     while targets:
         feat, thr, left_n, left_counts = _best_splits(col, lists, starts, sizes, counts, gini, cfg)
@@ -274,20 +290,25 @@ def _grow(X, y0, rows, sizes, counts, gini, cfg):
         child_gini, keep = _search_runs(child_sizes, child_counts, depth + 1, cfg)
         child_targets = [(node, "left") for node in nodes] + [(node, "right") for node in nodes]
 
-        # children that stop, and searched nodes that found no split, become leaves
-        drop = (~keep).nonzero()[0]
+        # children that stop, and searched nodes that found no split, become
+        # leaves, and their segments of the lists name the rows each one holds
+        drop, flat = (~keep).nonzero()[0], lists.ravel()
         leaf_targets = [child_targets[c] for c in drop] + [targets[v] for v in stay]
         leaf_counts = np.concatenate([child_counts[drop], counts[stay]])
+        leaf_sizes = np.concatenate([child_sizes[drop], sizes[stay]])
+        made_at[flat[_entries(np.concatenate([child_start[drop], starts[stay]]), leaf_sizes)]] = \
+            np.arange(len(made), len(made) + len(leaf_sizes)).repeat(leaf_sizes)
         for target, hist in zip(leaf_targets, leaf_counts):
-            setattr(*target, LeafNode(-1, hist))  # numbered once growth ends
+            made.append(LeafNode(-1, hist))  # numbered once growth ends
+            setattr(*target, made[-1])
 
         # stable partition of every row of `lists` into the kept children's entries
-        kept, flat = keep.nonzero()[0], lists.ravel()
+        kept = keep.nonzero()[0]
         sizes, counts, gini = child_sizes[kept], child_counts[kept], child_gini[kept]
         starts = sizes.cumsum() - sizes
-        at = np.arange(sizes.sum()) + (child_start[kept] - starts).repeat(sizes)
         side = np.zeros(n, dtype=np.int8)  # 1: row goes to a kept left child, 2: kept right
-        side[flat[at]] = np.where(kept < len(split), 1, 2).astype(np.int8).repeat(sizes)
+        side[flat[_entries(child_start[kept], sizes)]] = \
+            np.where(kept < len(split), 1, 2).astype(np.int8).repeat(sizes)
         side_at = side[flat]
         halves = [flat.compress(side_at == 1).reshape(p, -1),
                   flat.compress(side_at == 2).reshape(p, -1)]
@@ -297,7 +318,12 @@ def _grow(X, y0, rows, sizes, counts, gini, cfg):
         targets = [child_targets[c] for c in kept]
         depth += 1
 
-    return [holder.left for holder in holders]
+    return [holder.left for holder in holders], made, made_at
+
+
+def _entries(begin, sizes):
+    """The flat positions begin[i] .. begin[i] + sizes[i] - 1 of every run, in turn."""
+    return np.arange(sizes.sum()) + (begin - (sizes.cumsum() - sizes)).repeat(sizes)
 
 
 class _Columns:

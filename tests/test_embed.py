@@ -3,11 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dte import Embedding, TreeConfig, dte_t, fit_embedding, from_arrays, project
-from dte.embed import _leaf_means_arrays, anchor_intercept
+from dte.embed import _leaf_means, _leaf_means_arrays, anchor_intercept, tree_samples
 from dte.oracle import sample_mixture, three_cluster_spec
-from dte.tree import DecisionTree, fit_tree
+from dte.tree import DecisionTree, fit_tree, fit_trees_arrays
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +62,57 @@ class TestLeafMeans:
             sizes = np.array([leaf.size for leaf in tree.leaves])
             agg = (sizes[:, None] * means).sum(axis=0) / ds.n
             assert np.allclose(agg, ds.features.mean(axis=0), rtol=1e-10)
+
+
+def _add_at_means(X, leaf, n_leaves):
+    """Leaf means by np.add.at: each leaf's sum starts at 0.0 and adds its rows in turn."""
+    sums = np.zeros((n_leaves, X.shape[1]))
+    np.add.at(sums, leaf, X)
+    return sums / np.bincount(leaf, minlength=n_leaves)[:, None]
+
+
+class TestGrowerLeafIds:
+    """The leaf ids fit_trees_arrays hands back are where the tree routes each
+    sample row, and the anchors built from them are the routed means bit for bit."""
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6),
+           st.sampled_from([TreeConfig(), TreeConfig(1, 3), TreeConfig(max_depth=0),
+                            TreeConfig(1, 7, 4), TreeConfig(2, 30)]))
+    @settings(max_examples=80, deadline=None)
+    def test_ids_route_and_anchors_match_the_routed_means(self, seed, roots, cfg):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 120))
+        # a continuous column, ties mixing -0.0 and 0.0, and a small-integer column
+        X = np.column_stack([rng.normal(size=n), rng.choice([-0.0, 0.0, 1.0, -2.5], size=n),
+                             rng.integers(0, 3, size=n).astype(np.float64)])
+        y = rng.integers(1, 4, size=n)
+        kinds = [lambda: slice(None),                               # all rows
+                 lambda: rng.integers(0, n, size=n),                # bootstrap, repeated rows
+                 lambda: np.flatnonzero(rng.random(n) < 0.8),       # a fold's rows
+                 lambda: np.flatnonzero(y == y[0]),                 # pure: a one-leaf root
+                 lambda: np.arange(min(n, 3))]                      # too few rows to split
+        samples = [kinds[int(rng.integers(0, len(kinds)))]() for _ in range(roots)]
+        leaf_ids = []
+        trees = fit_trees_arrays(X, y, samples, 3, cfg, leaf_ids)
+        assert len(leaf_ids) == len(samples)
+        for s, tree, leaf in zip(samples, trees, leaf_ids):
+            Xs = X[s]
+            assert leaf.dtype == np.int64 and np.array_equal(leaf, tree.apply(Xs))
+            if Xs.shape[0]:
+                means = _leaf_means(Xs, leaf, tree.n_leaves)
+                assert means.tobytes() == _leaf_means_arrays(Xs, tree).tobytes()
+                assert means.tobytes() == _add_at_means(Xs, leaf, tree.n_leaves).tobytes()
+
+    def test_fit_embedding_anchors_equal_the_routed_means(self, iris, wine, cancer):
+        for ds in (iris, wine, cancer):
+            emb = fit_embedding(ds, TreeConfig(), 3, 42)
+            routed = [_add_at_means(ds.features, emb.trees[0].apply(ds.features),
+                                    emb.trees[0].n_leaves)]
+            # the resamples are redrawn with the same seed
+            for rows, tree in zip(tree_samples(ds, 3, 42)[1:], emb.trees[1:]):
+                routed.append(_add_at_means(ds.features[rows], tree.apply(ds.features[rows]),
+                                            tree.n_leaves))
+            assert emb.anchors.tobytes() == np.vstack(routed).tobytes()
 
 
 class TestDte1:

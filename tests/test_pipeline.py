@@ -257,9 +257,9 @@ class TestCrossValidate:
         """The sample count of each fit_trees_arrays call of a 5-fold cross_validate."""
         calls = []
 
-        def counting(X, y, samples, n_classes, cfg):
+        def counting(X, y, samples, *args):
             calls.append(len(samples))
-            return fit_trees_arrays(X, y, samples, n_classes, cfg)
+            return fit_trees_arrays(X, y, samples, *args)
 
         monkeypatch.setattr(dte.pipeline, "fit_trees_arrays", counting)
         cross_validate(ds, methods, replicates=replicates, folds=5, seed=42)
@@ -300,6 +300,30 @@ class TestCrossValidate:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.2 * peaks[0], peaks
+
+    def test_a_group_holds_nothing_of_the_last_while_it_grows(self, monkeypatch):
+        # one replicate per call; the previous group's trees, leaf ids, fold rows
+        # and models are gone before the next grows, which held ~100 KiB more
+        # here. What stays is numpy's small-block caches, ~3 KiB per call once
+        # a first run has warmed them.
+        n = tree_module._BATCH_ENTRIES // (2 * 3 * 4) + 1
+        rng = np.random.default_rng(0)
+        y = rng.integers(1, 4, size=n)
+        ds = from_arrays(rng.normal(size=(3, 4))[y - 1] * 6 + rng.normal(size=(n, 4)), y)
+        cross_validate(ds, ["dte-3", "tree"], replicates=1, folds=5, seed=1)
+        alive = []
+
+        def entry(*args):
+            alive.append(tracemalloc.get_traced_memory()[0])
+            return fit_trees_arrays(*args)
+
+        monkeypatch.setattr(dte.pipeline, "fit_trees_arrays", entry)
+        tracemalloc.start()
+        try:
+            cross_validate(ds, ["dte-3", "tree"], replicates=4, folds=5, seed=0)
+        finally:
+            tracemalloc.stop()
+        assert len(alive) == 4 and max(alive) - alive[0] <= 16 * 1024, alive
 
     def test_tree_alone_runs_on_one_class_data(self):
         ds = from_arrays(np.arange(40.0).reshape(20, 2), np.ones(20, int))
