@@ -291,13 +291,15 @@ def _grow(X, y0, rows, sizes, counts, gini, cfg):
         child_targets = [(node, "left") for node in nodes] + [(node, "right") for node in nodes]
 
         # children that stop, and searched nodes that found no split, become
-        # leaves, and their segments of the lists name the rows each one holds
+        # leaves; a segment of the lists names each one's rows (a child's on its
+        # parent's split feature, a searched node's on feature 0)
         drop, flat = (~keep).nonzero()[0], lists.ravel()
         leaf_targets = [child_targets[c] for c in drop] + [targets[v] for v in stay]
         leaf_counts = np.concatenate([child_counts[drop], counts[stay]])
+        leaf_start = np.concatenate([child_start[drop], starts[stay]])
         leaf_sizes = np.concatenate([child_sizes[drop], sizes[stay]])
-        made_at[flat[_entries(np.concatenate([child_start[drop], starts[stay]]), leaf_sizes)]] = \
-            np.arange(len(made), len(made) + len(leaf_sizes)).repeat(leaf_sizes)
+        made_at[flat[_entries(leaf_start, leaf_sizes)]] = np.arange(
+            len(made), len(made) + len(leaf_sizes)).repeat(leaf_sizes)
         for target, hist in zip(leaf_targets, leaf_counts):
             made.append(LeafNode(-1, hist))  # numbered once growth ends
             setattr(*target, made[-1])
