@@ -104,9 +104,9 @@ class TestApply:
                                   leaf.histogram)
 
     def test_boundary_value_routes_right(self):
-        leaves = [LeafNode(0, np.array([2, 0])), LeafNode(1, np.array([0, 2]))]
-        tree = DecisionTree(SplitNode(0, 1.5, leaves[0], leaves[1]),
-                            leaves, 1, 2, TreeConfig())
+        tree = DecisionTree.from_dict({"n_features": 1, "n_classes": 2,
+                                       "config": TreeConfig().to_dict(), "feature": [0, -1, -1],
+                                       "threshold": [1.5], "histogram": [[2, 0], [0, 2]]})
         assert tree.apply(np.array([1.5])) == 1
         assert tree.apply(np.array([1.4999])) == 0
 
@@ -403,3 +403,178 @@ class TestBatchedRoots:
             finally:
                 tracemalloc.stop()
             assert peak < 32 * 8 * 2 ** 14, (ds.n, peak)
+
+
+def reference_from_dict(d: dict) -> tuple:
+    """Reference for DecisionTree.from_dict: the same checks and messages, then
+    linked SplitNode/LeafNode objects built from the last node back, so a
+    split's subtrees exist before it. Returns (root, leaves in id order)."""
+    p, k = d["n_features"], d["n_classes"]
+    feature, threshold, histogram = (np.asarray(d[key]) for key in
+                                     ("feature", "threshold", "histogram"))
+    if feature.ndim != 1 or feature.dtype.kind != "i" or not np.all(
+            (feature >= -1) & (feature < p)):
+        raise ValueError(f"tree feature must be a list of -1 or 0..{p - 1}")
+    m = int(np.count_nonzero(feature < 0))
+    if feature.size != 2 * m - 1 or threshold.shape != (m - 1,) \
+            or threshold.dtype.kind not in "if" or not np.all(np.isfinite(threshold)):
+        raise ValueError("a tree of m leaves needs 2m - 1 nodes and m - 1 finite thresholds")
+    if histogram.shape != (m, k) or histogram.dtype.kind != "i" or np.any(histogram < 0):
+        raise ValueError(f"tree histogram must be {k} counts >= 0 per leaf")
+    splits, counts = iter(threshold.tolist()[::-1]), iter(histogram[::-1])
+    built, leaves = [], []   # subtrees awaiting a parent, the next left child last
+    for f in reversed(feature.tolist()):
+        if f < 0:
+            leaves.append(LeafNode(m - 1 - len(leaves), next(counts)))
+            built.append(leaves[-1])
+        elif len(built) < 2:  # with 2m - 1 nodes, this is the only way to fail
+            raise ValueError("tree lists are not the pre-order of one tree")
+        else:
+            built.append(SplitNode(f, next(splits), built.pop(), built.pop()))
+    return built[0], leaves[::-1]
+
+
+def reference_lists(root) -> tuple[list, list, list]:
+    """Reference for to_dict: the linked nodes' feature, threshold and
+    histogram lists in pre-order."""
+    feature, threshold, histogram = [], [], []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, LeafNode):
+            feature.append(-1)
+            histogram.append(node.histogram.tolist())
+        else:
+            feature.append(node.feature)
+            threshold.append(node.threshold)
+            stack += [node.right, node.left]
+    return feature, threshold, histogram
+
+
+def reference_partition(root, X):
+    """Reference for partition: (leaf, the ascending rows of X routed to it)
+    for each leaf X reaches, walking the linked nodes."""
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if isinstance(node, LeafNode):
+            yield node, idx
+        else:
+            goes_left = X[idx, node.feature] < node.threshold
+            stack.append((node.left, idx[goes_left]))
+            stack.append((node.right, idx[~goes_left]))
+
+
+@st.composite
+def tree_lists(draw):
+    """Tree lists in the model file's layout: the pre-order of a random tree,
+    maybe with two entries swapped, the last moved first, one dropped or one
+    added, or m leaves and m - 1 splits in random order; then maybe one
+    corrupted feature, threshold or histogram."""
+    p, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        feature, awaiting = [], 1
+        while awaiting:
+            grow = len(feature) < 30 and draw(st.booleans())
+            feature.append(draw(st.integers(0, p - 1)) if grow else -1)
+            awaiting += 1 if grow else -1
+        edit = draw(st.sampled_from(["none", "swap", "rotate", "drop", "add"]))
+        if edit == "swap":
+            i, j = (draw(st.integers(0, len(feature) - 1)) for _ in range(2))
+            feature[i], feature[j] = feature[j], feature[i]
+        elif edit == "rotate":
+            feature = feature[-1:] + feature[:-1]
+        elif edit == "drop":
+            del feature[draw(st.integers(0, len(feature) - 1))]
+        elif edit == "add":
+            feature.insert(draw(st.integers(0, len(feature))), draw(st.integers(-1, p - 1)))
+    else:
+        m = draw(st.integers(0, 8))
+        feature = draw(st.permutations([-1] * m + [draw(st.integers(0, p - 1))] * max(m - 1, 0)))
+    m = feature.count(-1)
+    threshold = draw(st.lists(st.sampled_from([0.5, -0.0, 1.0, 2.5]),
+                              min_size=max(m - 1, 0), max_size=max(m - 1, 0)))
+    histogram = [draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)) for _ in range(m)]
+    fault = draw(st.sampled_from(["none"] * 5 + ["feature", "float-feature", "nan", "threshold",
+                                                "count", "float-count", "histogram"]))
+    if fault == "feature" and feature:
+        feature[draw(st.integers(0, len(feature) - 1))] = draw(st.sampled_from([-2, p]))
+    elif fault == "float-feature":
+        feature = [float(f) for f in feature]
+    elif fault == "nan" and threshold:
+        threshold[draw(st.integers(0, len(threshold) - 1))] = float("nan")
+    elif fault == "threshold":
+        threshold = threshold[1:] if threshold and draw(st.booleans()) else threshold + [0.5]
+    elif fault == "count" and histogram:
+        histogram[draw(st.integers(0, m - 1))][0] = -1
+    elif fault == "float-count" and histogram:
+        histogram[draw(st.integers(0, m - 1))][0] = 1.5
+    elif fault == "histogram":
+        histogram = histogram[1:] if histogram and draw(st.booleans()) else histogram + [[0] * k]
+    return {"n_features": p, "n_classes": k, "config": TreeConfig().to_dict(),
+            "feature": feature, "threshold": threshold, "histogram": histogram}
+
+
+class TestTreeListsReference:
+    """The tree's pre-order lists against linked node objects, the reference."""
+
+    @given(tree_lists())
+    @settings(max_examples=400, deadline=None)
+    def test_lists_accepted_and_rejected_as_by_the_reference(self, d):
+        try:
+            root, leaves = reference_from_dict(d)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                DecisionTree.from_dict(d)
+            assert str(raised.value) == str(exc)
+            return
+        tree = DecisionTree.from_dict(d)
+        assert reference_lists(tree.root) == reference_lists(root)
+        assert [leaf.leaf_id for leaf in tree.leaves] == list(range(len(leaves)))
+        assert [leaf.histogram.tolist() for leaf in tree.leaves] == \
+            [leaf.histogram.tolist() for leaf in leaves]
+
+    @staticmethod
+    def assert_matches_reference(tree, X):
+        d = tree.to_dict()
+        assert reference_lists(tree.root) == (d["feature"], d["threshold"], d["histogram"])
+        assert [leaf.leaf_id for leaf in tree.leaves] == list(range(tree.n_leaves))
+        assert [leaf.histogram.tolist() for leaf in tree.leaves] == d["histogram"]
+        expected = {leaf.leaf_id: (leaf.histogram.tolist(), rows)
+                    for leaf, rows in reference_partition(tree.root, X)}
+        got = {leaf.leaf_id: (leaf.histogram.tolist(), rows) for leaf, rows in tree.partition(X)}
+        assert sorted(got) == sorted(expected)
+        for leaf_id, (hist, rows) in expected.items():
+            assert got[leaf_id][0] == hist and np.array_equal(got[leaf_id][1], rows)
+        ids = np.empty(X.shape[0], dtype=np.int64)
+        for leaf, rows in reference_partition(tree.root, X):
+            ids[rows] = leaf.leaf_id
+        assert np.array_equal(tree.apply(X), ids)
+        majority = np.array([leaf.majority for leaf in tree.leaves], dtype=np.int64)
+        assert np.array_equal(tree.predict(X), majority[ids])
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=11),
+           st.sampled_from([None, 0, 1, 3]), st.sampled_from([1, 2, 5]),
+           st.sampled_from([2, 3, 8, 30]))
+    @settings(max_examples=80, deadline=None)
+    def test_grown_trees_route_as_the_reference(self, seed, k, max_depth, mls, bins):
+        # tied columns, ties mixing -0.0 and 0.0, bootstrap duplicates and fold subsets
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 120))
+        X = np.column_stack([rng.normal(size=n), rng.choice([-0.0, 0.0, 1.0, -2.5], size=n),
+                             rng.integers(0, 3, size=n).astype(np.float64)])
+        y = rng.integers(1, k + 1, size=n)
+        samples = [slice(None), rng.integers(0, n, size=n), np.flatnonzero(rng.random(n) < 0.7)]
+        cfg = TreeConfig(min_leaf_size=mls, num_bins=bins, max_depth=max_depth)
+        for s, tree in zip(samples, fit_trees_arrays(X, y, samples, k, cfg)):
+            thresholds = np.array(tree.to_dict()["threshold"] + [0.0])
+            at_thresholds = rng.choice(thresholds, size=(50, X.shape[1]))  # x == threshold goes right
+            self.assert_matches_reference(tree, np.vstack([X[s], at_thresholds]))
+
+    def test_depth_1538_tree_routes_as_the_reference(self):
+        x = np.arange(4000, dtype=np.float64)[:, None]
+        tree = fit_tree(from_arrays(x, np.arange(4000) % 2 + 1),
+                        TreeConfig(min_leaf_size=1, num_bins=1000))
+        self.assert_matches_reference(tree, np.vstack([x, x + 0.5, x - 0.5]))
