@@ -91,6 +91,8 @@ def _load_model(path):
         clf = DteClassifier(emb, LdaModel.from_dict(model["lda"]), emb.trees[0].config,
                             emb.n_trees, model.get("seed"))
         schema = tuple(Column.from_dict(c) for c in model["schema"])
+        if len(schema) != emb.p:
+            raise ValueError(f"the schema encodes {len(schema)} features, not W's {emb.p} columns")
         names = model["label_names"]
         if type(model["has_header"]) is not bool or type(model["label_column"]) is not str:
             raise TypeError("has_header must be a bool and label_column a str")

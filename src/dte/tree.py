@@ -17,13 +17,14 @@ x candidates, like LightGBM's node-parallel split search (Ke et al., 2017); a
 candidate on a run of tied values bisects its node's values. A split marks
 each row's side in one n-entry array and partitions each list stably into the
 children's segments, so no node sorts again, and a child that is already a
-leaf leaves the lists. A node that becomes a leaf writes its index in the
-order leaves are made onto its rows, which its segment of the lists names, so
-growth ends knowing each training row's leaf; the pre-order numbering of the
-leaves, done once growth ends, turns those indices into leaf ids. The
-candidates, scores and tie-breaks use the same floating-point arithmetic as a
-search over each node's own sorted values, so growing node by node gives the
-same trees; tests/test_tree_golden.py pins them.
+leaf leaves the lists. Growth records each split and each leaf as it makes
+them, and a leaf writes its node number onto its rows, which its segment of
+the lists names; one walk over the records then lays out each tree's
+pre-order lists (the model file's layout) and numbers its leaves, so growth
+ends knowing each training row's leaf id. The candidates, scores and
+tie-breaks use the same floating-point arithmetic as a search over each
+node's own sorted values, so growing node by node gives the same trees;
+tests/test_tree_golden.py pins them.
 
 The trees of several samples (the folds of a cross-validation) grow together:
 their roots are just more nodes of each level. Each root's rows are sorted on
@@ -68,8 +69,8 @@ class TreeConfig:
 class SplitNode:
     feature: int
     threshold: float
-    left: Union["SplitNode", "LeafNode", None] = None
-    right: Union["SplitNode", "LeafNode", None] = None
+    left: Union["SplitNode", "LeafNode"]
+    right: Union["SplitNode", "LeafNode"]
 
 
 @dataclass(eq=False)
@@ -89,71 +90,76 @@ class LeafNode:
 
 @dataclass(eq=False)
 class DecisionTree:
-    root: Union[SplitNode, LeafNode]
-    leaves: list[LeafNode]         # position j holds the leaf with leaf_id j
+    """A fitted tree as the pre-order lists of its model file, like scikit-learn's
+    ``tree_``: ``feature`` per node (-1 at a leaf), ``threshold`` per split and
+    ``histogram`` per leaf. A leaf's id is its position among the leaves."""
+
+    feature: np.ndarray            # int64, one per node in pre-order
+    threshold: np.ndarray          # float64, one per split in pre-order
+    histogram: np.ndarray          # int64 (leaves, n_classes); index c-1 -> class c
     n_features: int
     n_classes: int
     config: TreeConfig
 
     @property
     def n_leaves(self) -> int:
-        return len(self.leaves)
+        return len(self.histogram)
+
+    @property
+    def leaves(self) -> list[LeafNode]:
+        """The leaves as LeafNode objects; position j holds leaf j."""
+        return [LeafNode(j, hist) for j, hist in enumerate(self.histogram)]
+
+    @property
+    def root(self) -> Union[SplitNode, LeafNode]:
+        """The tree as linked SplitNode and LeafNode objects, built from the last node back."""
+        leaves, thresholds = iter(self.leaves[::-1]), iter(self.threshold.tolist()[::-1])
+        built = []   # subtrees awaiting a parent, the next left child last
+        for f in reversed(self.feature.tolist()):
+            built.append(next(leaves) if f < 0 else
+                         SplitNode(f, next(thresholds), built.pop(), built.pop()))
+        return built[0]
 
     def partition(self, X):
         """Yield (leaf, the ascending rows of X routed to it) for each leaf X reaches."""
         X = feature_rows(X, self.n_features)
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if isinstance(node, LeafNode):
-                yield node, idx
-            else:
-                goes_left = X[idx, node.feature] < node.threshold
-                stack.append((node.left, idx[goes_left]))
-                stack.append((node.right, idx[~goes_left]))
+        at = np.zeros(self.feature.size)   # each node's threshold, 0 at a leaf
+        at[self.feature >= 0] = self.threshold
+        leaf, stack = 0, [np.arange(X.shape[0])]   # in pre-order, a node's rows are on top
+        for f, t in zip(self.feature.tolist(), at.tolist()):
+            idx = stack.pop()
+            if f < 0:
+                if idx.size:
+                    yield LeafNode(leaf, self.histogram[leaf]), idx
+                leaf += 1
+            elif idx.size:
+                goes_left = X[idx, f] < t
+                stack += [idx[~goes_left], idx[goes_left]]
+            else:   # no row reaches the subtree
+                stack += [idx, idx]
 
     def apply(self, X) -> np.ndarray | int:
         """Leaf id reached by each row of X (or by a single vector)."""
         X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        out = np.empty(X.shape[:1], dtype=np.int64)  # partition rejects X unless 2-D
-        for leaf, rows in self.partition(X):
-            out[rows] = leaf.leaf_id
-        return int(out[0]) if single else out
+        rows = X[None, :] if X.ndim == 1 else X
+        out = np.empty(rows.shape[:1], dtype=np.int64)  # partition rejects rows unless 2-D
+        for leaf, idx in self.partition(rows):
+            out[idx] = leaf.leaf_id
+        return int(out[0]) if X.ndim == 1 else out
 
     def predict(self, X) -> np.ndarray | int:
-        """Majority-class label of the reached leaf."""
-        ids = self.apply(X)
-        majorities = np.array([leaf.majority for leaf in self.leaves], dtype=np.int64)
-        if np.isscalar(ids) or np.ndim(ids) == 0:
-            return int(majorities[ids])
-        return majorities[ids]
+        """Majority-class label of the reached leaf; ties resolve to the smallest id."""
+        majority = (self.histogram.argmax(axis=1) + 1)[self.apply(X)]
+        return int(majority) if np.ndim(majority) == 0 else majority
 
     def to_dict(self) -> dict:
-        """The nodes in pre-order as flat lists, like scikit-learn's ``tree_``: ``feature``
-        per node (-1 at a leaf), ``threshold`` per split and ``histogram`` per leaf."""
-        feature, threshold, histogram = [], [], []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, LeafNode):
-                feature.append(-1)
-                histogram.append(node.histogram.tolist())
-            else:
-                feature.append(node.feature)
-                threshold.append(node.threshold)
-                stack += [node.right, node.left]
         return {"n_features": self.n_features, "n_classes": self.n_classes,
-                "config": self.config.to_dict(), "feature": feature,
-                "threshold": threshold, "histogram": histogram}
+                "config": self.config.to_dict(), "feature": self.feature.tolist(),
+                "threshold": self.threshold.tolist(), "histogram": self.histogram.tolist()}
 
     @staticmethod
     def from_dict(d: dict) -> "DecisionTree":
-        """Rebuild the nodes of ``to_dict``; rejects lists that are not exactly one tree."""
+        """The tree of ``to_dict``'s lists; rejects lists that are not exactly one tree."""
         p, k = d["n_features"], d["n_classes"]
         feature, threshold, histogram = (np.asarray(d[key]) for key in
                                          ("feature", "threshold", "histogram"))
@@ -166,18 +172,11 @@ class DecisionTree:
             raise ValueError("a tree of m leaves needs 2m - 1 nodes and m - 1 finite thresholds")
         if histogram.shape != (m, k) or histogram.dtype.kind != "i" or np.any(histogram < 0):
             raise ValueError(f"tree histogram must be {k} counts >= 0 per leaf")
-        # built from the last node back, so a split's subtrees exist before it
-        splits, counts = iter(threshold.tolist()[::-1]), iter(histogram[::-1])
-        built, leaves = [], []   # subtrees awaiting a parent, the next left child last
-        for f in reversed(feature.tolist()):
-            if f < 0:
-                leaves.append(LeafNode(m - 1 - len(leaves), next(counts)))
-                built.append(leaves[-1])
-            elif len(built) < 2:  # with 2m - 1 nodes, this is the only way to fail
-                raise ValueError("tree lists are not the pre-order of one tree")
-            else:
-                built.append(SplitNode(f, next(splits), built.pop(), built.pop()))
-        return DecisionTree(built[0], leaves[::-1], p, k, TreeConfig.from_dict(d["config"]))
+        # +1 per split and -1 per leaf: one tree's pre-order first sums below 0 at its last node
+        if np.any(np.where(feature < 0, -1, 1).cumsum()[:-1] < 0):
+            raise ValueError("tree lists are not the pre-order of one tree")
+        return DecisionTree(feature.astype(np.int64), threshold.astype(np.float64),
+                            histogram.astype(np.int64), p, k, TreeConfig.from_dict(d["config"]))
 
 
 def fit_tree(ds: Dataset, cfg: TreeConfig = TreeConfig()) -> DecisionTree:
@@ -201,8 +200,9 @@ _BATCH_ENTRIES = 1 << 16
 
 def fit_tree_arrays(X: np.ndarray, y: np.ndarray, n_classes: int,
                     cfg: TreeConfig = TreeConfig(), leaf_ids: list | None = None) -> DecisionTree:
-    """Fit on raw arrays; used for bootstrap resamples that may miss classes.
-    A list passed as leaf_ids receives the leaf id of each row of X."""
+    """Fit one tree on raw arrays, whose rows may repeat and classes be missing;
+    each tree of fit_embedding grows in one call here, where perfbench traces
+    growth. A list passed as leaf_ids receives the leaf id of each row of X."""
     return fit_trees_arrays(X, y, [slice(None)], n_classes, cfg, leaf_ids)[0]
 
 
@@ -229,8 +229,7 @@ def fit_trees_arrays(X: np.ndarray, y: np.ndarray, samples, n_classes: int,
     trees, leaves, batches, total = [None] * len(ys), [None] * len(ys), [], np.inf
     for i, (size, runs) in enumerate(zip(sizes.tolist(), searched.tolist())):
         if not runs or p == 0:
-            leaf = LeafNode(0, counts[i])
-            trees[i] = DecisionTree(leaf, [leaf], p, n_classes, cfg)
+            trees[i] = DecisionTree(np.array([-1]), np.empty(0), counts[i:i + 1], p, n_classes, cfg)
             leaves[i] = np.zeros(size, dtype=np.int64)
             continue
         if total + size * per_row > _BATCH_ENTRIES:
@@ -241,68 +240,58 @@ def fit_trees_arrays(X: np.ndarray, y: np.ndarray, samples, n_classes: int,
     ids = np.arange(len(y0))
     for batch in batches:
         rows = np.concatenate([ids[samples[i]] for i in batch])
-        roots, made, made_at = _grow(X, y0, rows, sizes[batch], counts[batch], gini[batch], cfg)
-        for i, root in zip(batch, roots):
-            trees[i] = DecisionTree(root, _number_leaves(root), p, n_classes, cfg)
-        # the pre-order numbering maps each leaf's creation index to its leaf id
-        leaf = np.array([node.leaf_id for node in made], dtype=np.int64)[made_at]
-        for i, rows_leaf in zip(batch, np.split(leaf, sizes[batch].cumsum()[:-1])):
-            leaves[i] = rows_leaf
+        grown = _grow(X, y0, rows, sizes[batch], counts[batch], gini[batch], cfg)
+        for i, (*lists, leaf) in zip(batch, grown):
+            trees[i], leaves[i] = DecisionTree(*lists, p, n_classes, cfg), leaf
     if leaf_ids is not None:
         leaf_ids += leaves
     return trees
 
 
 def _grow(X, y0, rows, sizes, counts, gini, cfg):
-    """Trees grown level by level from roots whose search runs: their root
-    nodes, their leaves in the order they were made, and for each row id the
-    index in that order of the leaf that holds it.
+    """Trees grown level by level from roots whose search runs, as _lay_out yields them.
 
     Root r owns the rows rows[sizes[:r].sum():sizes[:r + 1].sum()] of (X, y0).
     """
     n, p = len(rows), X.shape[1]
     col = _Columns(X, y0, rows, counts.shape[1])
-    holders = [SplitNode(-1, 0.0) for _ in sizes]  # sentinels; each .left becomes a root
-    targets = [(holder, "left") for holder in holders]  # where each node of the level attaches
     # Row j of `lists` holds, for each node of the level, the node's training
     # rows in feature j's order; node v owns entries starts[v] .. starts[v] +
     # sizes[v] - 1 of every row.
     lists = col.sorted_rows(sizes)
     starts = sizes.cumsum() - sizes
-    made, made_at = [], np.empty(n, dtype=np.int64)
+    # nodes are numbered as they are made, the roots first, so node_counts
+    # holds their class counts in order; node_at holds the leaf node of each row id
+    ids, n_nodes, root_sizes = np.arange(len(sizes)), len(sizes), sizes
+    splits, node_counts, node_at = [], [counts], np.empty(n, dtype=np.int64)
     depth = 0
-    while targets:
+    while ids.size:
         feat, thr, left_n, left_counts = _best_splits(col, lists, starts, sizes, counts, gini, cfg)
         split = (feat >= 0).nonzero()[0]
         stay = (feat < 0).nonzero()[0]
-        # + 0.0 saves a -0.0 threshold as 0.0, which routes the same, so the
-        # bytes do not depend on the order of tied -0.0 and 0.0 values
-        nodes = [SplitNode(int(feat[v]), float(thr[v]) + 0.0) for v in split]
-        for v, node in zip(split, nodes):
-            setattr(*targets[v], node)
 
         # children: the lefts of the split nodes in node order, then the rights
+        child_ids = np.arange(n_nodes, n_nodes + 2 * len(split))
+        n_nodes += child_ids.size
+        # + 0.0 saves a -0.0 threshold as 0.0, which routes the same, so the
+        # bytes do not depend on the order of tied -0.0 and 0.0 values
+        splits.append((ids[split], feat[split], thr[split] + 0.0, child_ids.reshape(2, -1)))
         width = lists.shape[1]
         seg = feat[split] * width + starts[split]   # each split node's list on its feature
         child_start = np.concatenate([seg, seg + left_n[split]])
         child_sizes = np.concatenate([left_n[split], sizes[split] - left_n[split]])
         child_counts = np.concatenate([left_counts[split], counts[split] - left_counts[split]])
+        node_counts.append(child_counts)
         child_gini, keep = _search_runs(child_sizes, child_counts, depth + 1, cfg)
-        child_targets = [(node, "left") for node in nodes] + [(node, "right") for node in nodes]
 
         # children that stop, and searched nodes that found no split, become
         # leaves; a segment of the lists names each one's rows (a child's on its
         # parent's split feature, a searched node's on feature 0)
         drop, flat = (~keep).nonzero()[0], lists.ravel()
-        leaf_targets = [child_targets[c] for c in drop] + [targets[v] for v in stay]
-        leaf_counts = np.concatenate([child_counts[drop], counts[stay]])
-        leaf_start = np.concatenate([child_start[drop], starts[stay]])
         leaf_sizes = np.concatenate([child_sizes[drop], sizes[stay]])
-        made_at[flat[_entries(leaf_start, leaf_sizes)]] = np.arange(
-            len(made), len(made) + len(leaf_sizes)).repeat(leaf_sizes)
-        for target, hist in zip(leaf_targets, leaf_counts):
-            made.append(LeafNode(-1, hist))  # numbered once growth ends
-            setattr(*target, made[-1])
+        leaf_start = np.concatenate([child_start[drop], starts[stay]])
+        leaf_nodes = np.concatenate([child_ids[drop], ids[stay]])
+        node_at[flat[_entries(leaf_start, leaf_sizes)]] = leaf_nodes.repeat(leaf_sizes)
 
         # stable partition of every row of `lists` into the kept children's entries
         kept = keep.nonzero()[0]
@@ -317,10 +306,32 @@ def _grow(X, y0, rows, sizes, counts, gini, cfg):
         del lists, flat, side_at   # the level's lists go before the children's are joined
         lists = np.concatenate(halves, axis=1)
         del halves
-        targets = [child_targets[c] for c in kept]
+        ids = child_ids[kept]
         depth += 1
 
-    return [holder.left for holder in holders], made, made_at
+    return _lay_out(splits, node_counts, np.split(node_at, root_sizes.cumsum()[:-1]))
+
+
+def _lay_out(splits, node_counts, node_at):
+    """Yields per root r (node r) its (feature, threshold, histogram) pre-order
+    lists and its rows' leaf ids, node_at[r] naming their leaf nodes, from one
+    walk over the recorded splits (node, feature, threshold, left over right children)."""
+    node, feat, thr, kids = (np.concatenate(part, axis=-1) for part in zip(*splits))
+    hist = np.concatenate(node_counts)
+    feature, threshold = np.full(len(hist), -1, dtype=np.int64), np.zeros(len(hist))
+    feature[node], threshold[node] = feat, thr
+    kids = dict(zip(node.tolist(), kids[::-1].T.tolist()))   # right, then left: the left pops first
+    leaf_id = np.empty(len(hist), dtype=np.int64)
+    for root, at in enumerate(node_at):
+        order, stack = [], [root]
+        while stack:
+            order.append(stack.pop())
+            stack += kids.get(order[-1], ())
+        order = np.array(order)
+        f = feature[order]
+        leaf = order[f < 0]
+        leaf_id[leaf] = np.arange(leaf.size)
+        yield f, threshold[order[f >= 0]], hist[leaf], leaf_id[at]
 
 
 def _entries(begin, sizes):
@@ -483,18 +494,4 @@ def _sum_sq(q):
     """Row sums of q**2, bit for bit as .sum(axis=1), which adds in turn below 8 columns."""
     q = q * q
     return q.sum(axis=1) if q.shape[1] >= 8 else sum(q.T[1:], q.T[0])
-
-
-def _number_leaves(root):
-    """The leaves in pre-order, with leaf_id set to their position."""
-    ordered = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, LeafNode):
-            node.leaf_id = len(ordered)
-            ordered.append(node)
-        else:
-            stack += [node.right, node.left]
-    return ordered
 

@@ -275,6 +275,17 @@ class TestModelValidation:
         err = capsys.readouterr().err
         assert "malformed model" in err and message in err
 
+    @pytest.mark.parametrize("schema", [
+        lambda columns: columns[:3],
+        lambda columns: columns + [{"name": "extra", "kind": "numeric"}],
+    ], ids=["cut", "extra"])
+    def test_schema_must_match_w(self, iris_model, tmp_path, capsys, schema):
+        def edit(model):
+            model["schema"] = schema(model["schema"])
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        err = capsys.readouterr().err
+        assert "malformed model" in err and "features, not W's 4 columns" in err
+
     def test_arrays_must_be_finite(self, iris_model, tmp_path, capsys):
         def edit(model):
             model["lda"]["cov_pinv"][0][0] = float("nan")
