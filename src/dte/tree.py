@@ -316,11 +316,11 @@ def _lay_out(splits, node_counts, node_at):
     """Yields per root r (node r) its (feature, threshold, histogram) pre-order
     lists and its rows' leaf ids, node_at[r] naming their leaf nodes, from one
     walk over the recorded splits (node, feature, threshold, left over right children)."""
-    node, feat, thr, kids = (np.concatenate(part, axis=-1) for part in zip(*splits))
+    node, feat, thr, kid = (np.concatenate(part, axis=-1) for part in zip(*splits))
     hist = np.concatenate(node_counts)
     feature, threshold = np.full(len(hist), -1, dtype=np.int64), np.zeros(len(hist))
     feature[node], threshold[node] = feat, thr
-    kids = dict(zip(node.tolist(), kids[::-1].T.tolist()))   # right, then left: the left pops first
+    kids = dict(zip(node.tolist(), kid[::-1].T.tolist()))   # right, then left: the left pops first
     leaf_id = np.empty(len(hist), dtype=np.int64)
     for root, at in enumerate(node_at):
         order, stack = [], [root]
