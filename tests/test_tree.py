@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -213,6 +214,70 @@ class TestInvariants:
         ids = tree.apply(X)
         assert np.array_equal(np.bincount(ids, minlength=tree.n_leaves),
                               np.array([leaf.size for leaf in tree.leaves]))
+
+
+def reference_split(x, y0, k, mls, bins):
+    """Scalar reference for one node's split rule: (feature, threshold, left
+    class counts), or None. Per feature, the candidates sv[lo] (1 - f) +
+    sv[lo + 1] f at ranks lo + f = i (n - 1) / bins of the sorted values sv,
+    strictly inside (sv[0], sv[-1]) and leaving mls rows on both sides; the
+    first maximum of the Gini decrease over features, then ascending
+    thresholds, wins if it is positive."""
+    n, counts = len(y0), np.bincount(y0, minlength=k)
+    parent = gini(counts) if n else 0.0
+    if n < 2 * mls or parent == 0.0:
+        return None
+    best = None
+    for j in range(x.shape[1]):
+        order = np.argsort(x[:, j], kind="stable")
+        sv, sy = x[order, j], y0[order]
+        cands = []
+        for i in range(1, bins):
+            pos = i * (n - 1) / bins
+            lo = int(pos)
+            f = pos - lo
+            cands.append(sv[lo] * (1.0 - f) + sv[lo + 1] * f)
+        for c in sorted(set(cands)):   # equal thresholds score alike; -0.0 saves as 0.0
+            nl = int(np.searchsorted(sv, c))
+            if not sv[0] < c < sv[-1] or nl < mls or n - nl < mls:
+                continue
+            left = np.bincount(sy[:nl], minlength=k)
+            dec = parent - (nl / n) * gini(left) - ((n - nl) / n) * gini(counts - left)
+            if best is None or dec > best[0]:
+                best = (dec, j, c + 0.0, left)
+    return best[1:] if best is not None and best[0] > 0.0 else None
+
+
+class TestSplitRuleReference:
+    """Each node of a level gets the split a scalar search over its own sorted
+    values picks. Roots grown in one call are the nodes of one level."""
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=11),
+           st.integers(min_value=2, max_value=300), st.integers(min_value=1, max_value=5),
+           st.integers(min_value=1, max_value=5))
+    @settings(max_examples=60, deadline=None)
+    def test_roots_split_as_the_scalar_reference(self, seed, k, bins, mls, roots):
+        # tied columns, ties mixing -0.0 and 0.0, bootstrap duplicates and fold subsets
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        X = np.column_stack([rng.normal(size=n), rng.choice([-0.0, 0.0, 1.0, -2.5], size=n),
+                             rng.integers(0, 3, size=n).astype(np.float64),
+                             np.round(rng.normal(size=n), 1)])
+        y = rng.integers(1, k + 1, size=n)
+        samples = [np.flatnonzero(rng.random(n) < 0.8) if rng.random() < 0.5
+                   else rng.integers(0, n, size=n) for _ in range(roots)]
+        cfg = TreeConfig(min_leaf_size=mls, num_bins=bins, max_depth=1)
+        with mock.patch.object(tree_module, "_BATCH_ENTRIES", 1 << 30):   # one batch
+            trees = fit_trees_arrays(X, y, samples, k, cfg)
+        for s, tree in zip(samples, trees):
+            want = reference_split(X[s], y[s] - 1, k, mls, bins)
+            if want is None:
+                assert tree.feature.tolist() == [-1]
+                continue
+            j, threshold, left = want
+            assert tree.feature.tolist() == [j, -1, -1]
+            assert float(tree.threshold[0]).hex() == float(threshold).hex()
+            assert tree.histogram[0].tolist() == left.tolist()
 
 
 class TestSerialization:

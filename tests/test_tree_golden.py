@@ -9,7 +9,10 @@ its tied-candidate search was rewritten), when ``to_dict`` still nested the
 nodes; ``nested`` rebuilds that form from the flat pre-order lists, so the
 pins cover every saved value. Any change to a split, a threshold bit, the
 leaf numbering or a leaf's rows fails here. Regenerate them only for a
-deliberate change of the split rule:
+deliberate change of the split rule. The wide-bins cases (``*/1-255-None``
+and ``deep-tied/2-100-None``), whose nodes hold many candidates outside
+their range or repeating a left size, were pinned later, from the grower
+that still compacted its candidates before scoring them. Regenerate with:
 
     PYTHONPATH=src python tests/test_tree_golden.py
 """
@@ -117,9 +120,12 @@ def _cases():
             tag = "-".join(map(str, cfg))
             cases[f"{name}/{tag}"] = (lambda n=name, lb=label: _bundled(n, lb), cfg)
             cases[f"{name}-bootstrap/{tag}"] = (lambda n=name, lb=label: _resampled(n, lb), cfg)
+        # far more bins than most nodes have rows: many candidates are dead or repeat
+        cases[f"{name}/1-255-None"] = (lambda n=name, lb=label: _bundled(n, lb), (1, 255, None))
     default = (10, 30, None)
     cases["deep-mixture"] = (_deep_mixture, default)
     cases["deep-tied"] = (_deep_tied, (2, 30, None))
+    cases["deep-tied/2-100-None"] = (_deep_tied, (2, 100, None))
     cases["shallow-separated"] = (_shallow_separated, default)
     cases["constant-column"] = (_constant_column, (2, 30, None))
     cases["tied-features"] = (_tied_features, (2, 30, None))
@@ -175,6 +181,8 @@ PINS = {
         "c75e797f6ba94ac1b7086c7a94499c34335c1eb30f7fe34e067d5c38796b9fa2"),  # 20 leaves
     "breast_cancer/1-2-None": ("fbbc3d745d063fff84ba68ca3f8c8467f3ef3fd85cdabbbab66bbec8de693e7e",
         "d7958dd129fa29de32ccce66c54ab31d08676581cd7ffd69fb77085e7086af65"),  # 53 leaves
+    "breast_cancer/1-255-None": ("3ece39ed587ede4a9e5bb51d641f703a171c116023573e6f13a946db40e021db",
+        "2732593f7b3b2b20bed6b01c2e2fbca8c3e938bb63e6c2c5f17fab515cba128d"),  # 21 leaves
     "breast_cancer/10-30-3": ("949770785fb686d488dd6b7d3f5f21f3ea715ee698088ad631af5ead1fa709f9",
         "66c7f26069c98717839037e37278b8753cb09535705e6293423a46b69d5a51e4"),  # 7 leaves
     "breast_cancer/10-30-None": ("b2b97676e765a9ff50565b153666912817213049c6760ac7c7bd30089edfc5e0",
@@ -187,6 +195,8 @@ PINS = {
         "e10c7d086763cfe6127712d04279c8e4fee38860760ea25e989da828c477e44a"),  # 522 leaves
     "deep-tied": ("60b14cb495f068d21f9a1216e51dd57116236db6e1df519730412160ac9a5e39",
         "dd11d69b28dc29689a0b368ba80a2d2db091e7a8f14cf3b2c782188d15179992"),  # 612 leaves
+    "deep-tied/2-100-None": ("d64dd65b43ad5bd88d4465f20180feb9942036d7e5124ff236556ef2883689e7",
+        "fac272de4b888ba59a03473bc2d28511e964dd391dd2f1804c0d230fd173bb3a"),  # 611 leaves
     "iris-bootstrap/1-2-None": ("916c27ac6c33c5a01f8fcda1967256d46e9ce75bff72583c9c24c720beff1812",
         "1ca72a8c3b6b21eac3c60f3f953db652f80263b040b191deeaa0fe69b38c9157"),  # 18 leaves
     "iris-bootstrap/10-30-3": ("78dd37682de8d69a97dc612cc086f25cf3439e437128e85d867c1fdf23b36ebe",
@@ -197,6 +207,8 @@ PINS = {
         "e5779e632758e5890cc43d6b147d863306aee16e0f38cc5548f7e84d558b0cff"),  # 11 leaves
     "iris/1-2-None": ("e8c3bf20dee733363444c2195b6b2ad5c17fd5f5618426d15aba1ce92c20b567",
         "439bd8f685fb7bf835f5271bde29d705f8db5b3a201693a6cf6865f24e71b2e2"),  # 22 leaves
+    "iris/1-255-None": ("098feee531748389a5697a8edbd555e4b4d9aa9f9ff9bbf951dcf4cb71d9e918",
+        "475d6253fe153b50304dde8595d3b387edb4add4621d30c6b7aca3c2191aeed2"),  # 9 leaves
     "iris/10-30-3": ("9fe9899a6c714435c328664aacc35020a82a0f37ebe9a583605e5e5b3bec6dfc",
         "a80ccbab94cbef0410fb7cebab23e109f0193c4de7884e101d44a6d0b22fcad1"),  # 5 leaves
     "iris/10-30-None": ("79c31ffe295154eb54ea2b81b169dc430324fabefbba8579f16facc86e6ef304",
@@ -225,6 +237,8 @@ PINS = {
         "5c347d4a6443d8b1cd0caa263362b4ad5db24067b0abd7919a81222f842282d5"),  # 14 leaves
     "wine/1-2-None": ("0d71c07c2d08dcf0c95f232aabf6428d4d58afdcf40fde33be422007968ec235",
         "cdcb33cd292a509c26b4d10f0d14984e2f1caeea12b331d29d16df3cb9d36816"),  # 19 leaves
+    "wine/1-255-None": ("261f90dc6b271d6242b7afb2f6ada97a9a272816709f82ab370e2cc651b4165d",
+        "d0907cdd96ab5d0dee3cb9514b6b511c7f1730e1538124ec77ea00fc49c0cf1f"),  # 12 leaves
     "wine/10-30-3": ("438f8f3ee1382a71914273ee897a0544702c8494b92a8c43c07f480401bdfad8",
         "0e0dc40c59ef936047eabee20e7d4825e740fa25880ad069f9e6b98eb761ee15"),  # 6 leaves
     "wine/10-30-None": ("a5fdce5798f816f3325b050a55f528fc7774080907a59ce9d392aed8a553eb64",
