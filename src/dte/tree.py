@@ -9,20 +9,24 @@ lowest threshold, then to the lowest feature index. Routing is
 x[j] < threshold -> left, else right. A node is a leaf when it holds fewer
 than 2 * min_leaf_size rows, is pure, or sits at max_depth.
 
-Growth is level by level on presorted columns. Each feature's rows are
-sorted once, at the root, as in SLIQ (Mehta, Agrawal & Rissanen, 1996), and a
+Growth is level by level on presorted columns. Each feature's rows are sorted
+once, at the root, as in SLIQ (Mehta, Agrawal & Rissanen, 1996), and a
 level's lists hold, per feature, each node's row ids in that order. All nodes
-of a depth are searched together in one vectorized pass over nodes x features
-x candidates, like LightGBM's node-parallel split search (Ke et al., 2017); a
-candidate on a run of tied values bisects its node's values. A split marks
-each row's side in one n-entry array and partitions each list stably into the
-children's segments, so no node sorts again, and a child that is already a
-leaf leaves the lists. Growth records each split and each leaf as it makes
-them, and a leaf writes its node number onto its rows, which its segment of
-the lists names; one walk over the records then lays out each tree's
-pre-order lists (the model file's layout) and numbers its leaves, so growth
-ends knowing each training row's leaf id. The candidates, scores and
-tie-breaks use the same floating-point arithmetic as a search over each
+of a depth are searched together, like LightGBM's node-parallel split search
+(Ke et al., 2017), on one grid of nodes x features x candidate ranks that the
+candidates keep through scoring: a candidate on a run of tied values bisects
+its node's values, class counts come class-major from one prefix sum per list
+row, and a dead cell (outside its node's range, or leaving too few rows on a
+side) scores -inf. Cells with equal left sizes on one node and feature score
+the same bits, so the first maximum keeps the lowest threshold without a
+dedupe. A split marks each row's side in one n-entry array and partitions
+each list stably into the children's segments, so no node sorts again, and a
+child that is already a leaf leaves the lists. Growth records each split and
+each leaf as it makes them, and a leaf writes its node number onto its rows,
+which its segment of the lists names; one walk over the records then lays out
+each tree's pre-order lists (the model file's layout) and numbers its leaves,
+so growth ends knowing each training row's leaf id. The candidates, scores
+and tie-breaks use the same floating-point arithmetic as a search over each
 node's own sorted values, so growing node by node gives the same trees;
 tests/test_tree_golden.py pins them.
 
@@ -34,6 +38,7 @@ its segment from the start.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -343,15 +348,14 @@ class _Columns:
     """The training columns of a batch and their classes, indexed by row id.
 
     Row id r is the batch's r-th row, X[rows[r]]. `val` is the batch's rows
-    transposed and flattened, so row r's value of feature j is val[j * n + r]
-    (`offset[j]` is j * n). `word` holds each row's class packed as a digit
-    in base n + 1, so one prefix sum counts several classes.
+    transposed, so row r's value of feature j is val[j, r]. `word` holds each
+    row's class packed as a digit in base n + 1, so one prefix sum counts
+    several classes.
     """
 
     def __init__(self, X, y0, rows, n_classes):
-        self.val = X.T.take(rows, axis=1).ravel()
-        n, p = len(rows), X.shape[1]
-        self.offset = np.arange(p) * n
+        self.val = X.T.take(rows, axis=1)
+        n = len(rows)
         self.base = n + 1
         self.digits = 1          # classes per int64 word: n * base**(digits-1) < 2**63
         while n * self.base ** self.digits < 2 ** 63 and self.digits < n_classes:
@@ -366,25 +370,30 @@ class _Columns:
         segment per root: root r owns the next root_sizes[r] row ids. Equal
         values may come in any order: the search reads only values and counts,
         so the tree does not depend on it."""
-        val = self.val.reshape(len(self.offset), -1)
-        order, ends = np.empty(val.shape, dtype=np.int64), root_sizes.cumsum()
+        order, ends = np.empty(self.val.shape, dtype=np.int64), root_sizes.cumsum()
         for begin, end in zip((ends - root_sizes).tolist(), ends.tolist()):
-            order[:, begin:end] = np.argsort(val[:, begin:end], axis=1) + begin
+            order[:, begin:end] = np.argsort(self.val[:, begin:end], axis=1) + begin
         return order
 
-    def class_counts(self, lists, begin, end, n_classes):
-        """Class counts of entries begin[i] .. end[i] - 1 of `lists` (one row each),
-        each run holding at least one entry."""
+    def class_counts(self, lists, seg, left_n, n_classes):
+        """Class-major counts (n_classes, m, p, B - 1) of the first left_n[v, j, r]
+        entries of segment seg[v, j] of `lists` (node v's rows on feature j);
+        the counts of a cell whose left_n is 0 mean nothing."""
         total = np.empty(lists.shape, dtype=np.int64)   # running counts along each row
         flat = total.ravel()
-        first = begin % lists.shape[1] == 0             # no entry before the run in its row
-        out = np.empty((len(begin), n_classes), dtype=np.int64)
+        first = seg % lists.shape[1] == 0               # no entry before the segment in its row
+        last = seg[:, :, None] + left_n
+        last -= 1
+        out = np.empty((n_classes,) + left_n.shape, dtype=np.int64)
         for w, word in enumerate(self.word):
             np.take(word, lists, out=total, mode="wrap")   # ids are in range; unbuffered
             total.cumsum(axis=1, out=total)
-            packed = flat[end - 1] - np.where(first, 0, flat[begin - 1])
-            for c in range(w * self.digits, min(n_classes, (w + 1) * self.digits)):
-                out[:, c] = packed // self.base ** (c % self.digits) % self.base
+            packed = flat[last]
+            packed -= np.where(first, 0, flat[seg - 1])[:, :, None]
+            top = min(n_classes, (w + 1) * self.digits) - 1    # the word's last class
+            for c in range(w * self.digits, top):
+                np.divmod(packed, self.base, out=(packed, out[c]))
+            out[top] = packed
         return out
 
 
@@ -412,86 +421,126 @@ def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
     strictly inside (sv[0], sv[-1]) and when both sides hold min_leaf_size
     rows. The largest decrease wins; ties go to the lowest feature, then to
     the lowest threshold.
+
+    The candidates stay on one (node, feature, rank) grid of m x p x (B - 1)
+    cells through scoring, sorted along the rank axis; a dead cell (outside
+    the node's range, or leaving too few rows on a side) scores -inf. Cells
+    with equal left sizes on one node and feature have equal class counts,
+    so equal score bits, and argmax's first maximum keeps the lowest of their
+    thresholds without a dedupe.
     """
     m, (p, width) = len(sizes), lists.shape
     bins, k, mls = cfg.num_bins, counts.shape[1], cfg.min_leaf_size
-    flat = lists.ravel()
 
     pos = np.arange(1, bins) * (sizes - 1)[:, None] / bins   # (m, B-1)
     lo = pos.astype(np.int64)
     frac = (pos - lo)[:, None, :]
     seg = starts[:, None] + np.arange(p) * width              # (m, p): node v's entries on feature j
     at = seg[:, :, None] + lo[:, None, :]                     # lo <= n - 2 as i < B
-    off = col.offset[:, None]
-    below, above = col.val[flat[at] + off], col.val[flat[at + 1] + off]
+    sv = np.take_along_axis(col.val, lists, axis=1).ravel()   # the level's values, as listed
+    below = sv[at]
+    at += 1
+    above = sv[at]
+    del at
     cand = above * frac
     cand += below * (1.0 - frac)     # below (1 - f) + above f, one level-sized temporary
     cand.sort(axis=2)
+
+    # left_n: rows of the node with a value below the candidate, lo + 1 when
+    # below < cand <= above. These checks read the node's values at the paired
+    # rank, so they hold for a sorted candidate paired with a neighbour's rank too.
+    left_n = np.broadcast_to(lo[:, None, :] + 1, cand.shape).copy()
     # below sv[-1]; above sv[0] follows from left_n >= min_leaf_size >= 1
-    inside = cand < col.val[flat[seg + (sizes - 1)[:, None]] + col.offset][:, :, None]
-    idx = inside.ravel().nonzero()[0]
+    inside = cand < sv[seg + (sizes - 1)[:, None]][:, :, None]
+    tied = cand <= below
+    tied |= cand > above
+    tied &= inside
+    v, j, r = tied.nonzero()
+    c, a, begin = cand[v, j, r], below[v, j, r], seg[v, j]
+    del tied, below, above
+    # c == a opening a's run: left_n = lo; otherwise search the node
+    opens = (c == a) & (sv[begin + lo[v, r] - 1] < a)
+    left_n[v[opens], j[opens], r[opens]] -= 1
+    v, j, r, c, begin = (x[~opens] for x in (v, j, r, c, begin))
+    if v.size:
+        left_n[v, j, r] = _count_below(sv, begin, sizes[v], c)
+    del sv
+    dead = ~inside
+    dead |= left_n < mls
+    dead |= left_n > (sizes - mls)[:, None, None]
+    np.maximum(left_n, 1, out=left_n)   # a dead cell may hold no row on the left
 
-    # left_n: rows of the node with a value below the candidate. The checks
-    # read the node's values at the paired rank, so they hold for a sorted
-    # candidate paired with a neighbour's rank too.
-    node, j = idx // (p * (bins - 1)), idx // (bins - 1) % p
-    c, a, b, at = cand.ravel()[idx], below.ravel()[idx], above.ravel()[idx], at.ravel()[idx]
-    del cand, below, above, inside   # the level's candidate arrays, before the counts
-    begin = j * width + starts[node]
-    left_n = at - begin + 1                                   # a < c <= b
-    hard = ((c <= a) | (c > b)).nonzero()[0]
-    if hard.size:
-        # c == a opening a's run: left_n = lo; otherwise search the node
-        opens = (c[hard] == a[hard]) & (col.val[flat[at[hard] - 1] + col.offset[j[hard]]] < a[hard])
-        left_n[hard[opens]] -= 1
-        hard = hard[~opens]
-    if hard.size:
-        left_n[hard] = _count_below(col, flat, j[hard], begin[hard], sizes[node[hard]], c[hard])
-    # keep candidates leaving min_leaf_size rows on both sides, and of those
-    # with equal left_n on one node and feature (equal scores) the lowest
-    ok = (left_n >= mls) & (sizes[node] - left_n >= mls)
-    ok[1:] &= (left_n[1:] != left_n[:-1]) | (begin[1:] != begin[:-1])
-    idx, node, c, left_n, begin = idx[ok], node[ok], c[ok], left_n[ok], begin[ok]
-    del j, a, b, at
-
-    left_counts = col.class_counts(lists, begin, begin + left_n, k)
-    right_counts = counts[node] - left_counts
-    ln = left_n.astype(np.float64)
-    nn = sizes[node].astype(np.float64)
-    rn = nn - ln
-    gini_l = 1.0 - _sum_sq(left_counts / ln[:, None])
-    gini_r = 1.0 - _sum_sq(right_counts / rn[:, None])
-    dec = gini[node] - (ln / nn) * gini_l - (rn / nn) * gini_r
-
-    score = np.full((m, p * (bins - 1)), -np.inf)
-    score.ravel()[idx] = dec
+    left = col.class_counts(lists, seg, left_n, k)             # (k, m, p, B-1)
+    score = _gini_decrease(left, left_n.astype(np.float64), sizes, counts, gini)
+    del left_n
+    score[dead] = -np.inf
+    score = score.reshape(m, -1)
     best = score.argmax(axis=1)       # first maximum: lowest feature, then lowest threshold
     wins = score[np.arange(m), best] > 0.0
-    pick = np.searchsorted(idx, best + np.arange(m) * p * (bins - 1))[wins]
-    feat = np.full(m, -1, dtype=np.int64)
-    feat[wins] = best[wins] // (bins - 1)
-    thr, chosen_n, chosen_counts = np.zeros(m), np.zeros(m, np.int64), np.zeros((m, k), np.int64)
-    thr[wins], chosen_n[wins], chosen_counts[wins] = c[pick], left_n[pick], left_counts[pick]
-    return feat, thr, chosen_n, chosen_counts
+    j, r = np.divmod(best, bins - 1)
+    v = np.arange(m)
+    feat = np.where(wins, j, -1)
+    chosen = left[:, v, j, r].T
+    return feat, cand[v, j, r], chosen.sum(axis=1), chosen
 
 
-def _count_below(col, flat, j, begin, size, c):
-    """How many of the entries begin .. begin + size - 1 of `flat` (a node's
-    rows on feature j, ascending) hold a value below c, for c below the last.
+def _gini_decrease(left, ln, sizes, counts, gini):
+    """Gini decrease of each grid cell from its class-major left counts and
+    its left size ln (float, overwritten), bit for bit as gini - (ln / n)
+    gini_l - (rn / n) gini_r with gini_x = 1 - sum_c (n_c / n_x)**2. The
+    right counts are formed one class at a time into one reused buffer."""
+    k, nn = len(left), sizes[:, None, None].astype(np.float64)
+    buf = np.empty(ln.shape)
+    impurity = _sum_sq((np.divide(left[c], ln, out=buf if c else None) for c in range(k)), k)
+    np.subtract(1.0, impurity, out=impurity)
+    np.divide(ln, nn, out=buf)
+    buf *= impurity
+    dec = np.subtract(gini[:, None, None], buf, out=impurity)
+    rn = np.subtract(nn, ln, out=ln)
+
+    def right(c):
+        q = np.subtract(counts[:, c, None, None], left[c], out=buf if c else np.empty(ln.shape))
+        q /= rn
+        return q
+
+    impurity = _sum_sq((right(c) for c in range(k)), k)
+    np.subtract(1.0, impurity, out=impurity)
+    np.divide(rn, nn, out=buf)
+    buf *= impurity
+    dec -= buf
+    return dec
+
+
+def _count_below(sv, begin, size, c):
+    """How many of the entries begin .. begin + size - 1 of sv (a node's
+    values on one feature, ascending) are below c, for c below the last.
 
     The last entry below c is found in as many halving steps as the largest
     node needs (in a batch, another root's nodes may be larger); a probe past
     the node is capped at its last entry, which c never takes.
     """
-    pos, last, shift = begin - 1, begin + size - 1, col.offset[j]
+    pos, last = begin - 1, begin + size - 1
     for step in 1 << np.arange(int(size.max()).bit_length())[::-1]:
         probe = np.minimum(pos + step, last)
-        pos = np.where(col.val[flat[probe] + shift] < c, probe, pos)
+        pos = np.where(sv[probe] < c, probe, pos)
     return pos + 1 - begin
 
 
-def _sum_sq(q):
-    """Row sums of q**2, bit for bit as .sum(axis=1), which adds in turn below 8 columns."""
-    q = q * q
-    return q.sum(axis=1) if q.shape[1] >= 8 else sum(q.T[1:], q.T[0])
-
+def _sum_sq(parts, k):
+    """Sum of q**2 over the k class arrays q that parts yields in turn, bit
+    for bit as numpy's row sum over a class-last array, (q ** 2).sum(axis=1):
+    class by class below 8 classes (squaring each q in place), else by
+    numpy's own pairwise sum over a class-last copy."""
+    parts = iter(parts)
+    q = next(parts)
+    if k >= 8:
+        rows = np.empty(q.shape + (k,))
+        for c, term in enumerate(itertools.chain([q], parts)):
+            rows[..., c] = term
+        rows *= rows
+        return rows.reshape(-1, k).sum(axis=1).reshape(q.shape)
+    q *= q
+    for term in parts:
+        term *= term
+        q += term
+    return q

@@ -155,7 +155,7 @@ class TestInvariants:
         # values spanning 16 decades, so any other order of the additions shows
         rng = np.random.default_rng(k)
         q = rng.random((500, k)) * 10.0 ** rng.integers(-8, 8, size=(500, k))
-        assert np.all(_sum_sq(q) == (q ** 2).sum(axis=1))
+        assert np.all(_sum_sq(q.T.copy(), k) == (q ** 2).sum(axis=1))   # class-major
 
     def test_min_leaf_size_respected(self, wine):
         for mls in (1, 5, 10, 25):
