@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -125,32 +126,59 @@ class DecisionTree:
                          SplitNode(f, next(thresholds), built.pop(), built.pop()))
         return built[0]
 
+    @cached_property
+    def _walk(self) -> tuple[list, list, list, list]:
+        """Per node in pre-order: its feature, its threshold (0 at a leaf), its
+        right child (one past its left subtree; 0 at a leaf) and its leaf id.
+
+        The running sum of +1 per split and -1 per leaf, taken before each
+        node, first falls below its value at node i just after i's subtree, so
+        each subtree's end is the next position holding that value less one.
+        """
+        n, is_leaf = self.feature.size, self.feature < 0
+        before = np.concatenate([[0], np.where(is_leaf, -1, 1).cumsum()])
+        key = np.sort(before * (n + 1) + np.arange(n + 1))   # by (running sum, position)
+        shift = (before[:-1] - 1) * (n + 1)
+        end = key[np.searchsorted(key, shift + np.arange(n))] - shift
+        right = np.zeros(n, dtype=np.int64)
+        right[:-1] = np.where(is_leaf[:-1], 0, end[1:])
+        at = np.zeros(n)
+        at[~is_leaf] = self.threshold
+        return self.feature.tolist(), at.tolist(), right.tolist(), (is_leaf.cumsum() - 1).tolist()
+
     def partition(self, X):
-        """Yield (leaf, the ascending rows of X routed to it) for each leaf X reaches."""
+        """Yield (leaf, the ascending rows of X routed to it) for each leaf X
+        reaches, visiting only the nodes that some row reaches."""
         X = feature_rows(X, self.n_features)
-        at = np.zeros(self.feature.size)   # each node's threshold, 0 at a leaf
-        at[self.feature >= 0] = self.threshold
-        leaf, stack = 0, [np.arange(X.shape[0])]   # in pre-order, a node's rows are on top
-        for f, t in zip(self.feature.tolist(), at.tolist()):
-            idx = stack.pop()
+        feature, at, right, leaf_id = self._walk
+        stack = [(0, np.arange(X.shape[0]))]   # the left child pops first: pre-order
+        while stack:
+            node, idx = stack.pop()
+            if not idx.size:   # no row reaches the subtree
+                continue
+            f = feature[node]
             if f < 0:
-                if idx.size:
-                    yield LeafNode(leaf, self.histogram[leaf]), idx
-                leaf += 1
-            elif idx.size:
-                goes_left = X[idx, f] < t
-                stack += [idx[~goes_left], idx[goes_left]]
-            else:   # no row reaches the subtree
-                stack += [idx, idx]
+                leaf = leaf_id[node]
+                yield LeafNode(leaf, self.histogram[leaf]), idx
+            else:
+                goes_left = X[idx, f] < at[node]
+                stack += [(right[node], idx[~goes_left]), (node + 1, idx[goes_left])]
 
     def apply(self, X) -> np.ndarray | int:
-        """Leaf id reached by each row of X (or by a single vector)."""
+        """Leaf id reached by each row of X (or by a single vector, which
+        walks its root-to-leaf path)."""
         X = np.asarray(X, dtype=np.float64)
-        rows = X[None, :] if X.ndim == 1 else X
-        out = np.empty(rows.shape[:1], dtype=np.int64)  # partition rejects rows unless 2-D
-        for leaf, idx in self.partition(rows):
+        if X.ndim == 1:
+            x = feature_rows(X[None, :], self.n_features)[0].tolist()
+            feature, at, right, leaf_id = self._walk
+            node = 0
+            while feature[node] >= 0:
+                node = node + 1 if x[feature[node]] < at[node] else right[node]
+            return leaf_id[node]
+        out = np.empty(X.shape[:1], dtype=np.int64)  # partition rejects rows unless 2-D
+        for leaf, idx in self.partition(X):
             out[idx] = leaf.leaf_id
-        return int(out[0]) if X.ndim == 1 else out
+        return out
 
     def predict(self, X) -> np.ndarray | int:
         """Majority-class label of the reached leaf; ties resolve to the smallest id."""
@@ -166,6 +194,8 @@ class DecisionTree:
     def from_dict(d: dict) -> "DecisionTree":
         """The tree of ``to_dict``'s lists; rejects lists that are not exactly one tree."""
         p, k = d["n_features"], d["n_classes"]
+        if not (type(p) is int and p >= 1 and type(k) is int and k >= 1):
+            raise ValueError("tree n_features and n_classes must be integers >= 1")
         feature, threshold, histogram = (np.asarray(d[key]) for key in
                                          ("feature", "threshold", "histogram"))
         if feature.ndim != 1 or feature.dtype.kind != "i" or not np.all(

@@ -275,6 +275,13 @@ class TestModelValidation:
         err = capsys.readouterr().err
         assert "malformed model" in err and message in err
 
+    def test_tree_sizes_must_be_integers(self, iris_model, tmp_path, capsys):
+        def edit(model):
+            model["embedding"]["trees"][0].update(n_features=4.0, n_classes=3.0)
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        err = capsys.readouterr().err
+        assert "malformed model" in err and "n_features and n_classes must be integers" in err
+
     @pytest.mark.parametrize("schema", [
         lambda columns: columns[:3],
         lambda columns: columns + [{"name": "extra", "kind": "numeric"}],

@@ -115,6 +115,21 @@ class TestApply:
         tree = fit_tree(iris, TreeConfig())
         with pytest.raises(ValueError, match="features"):
             tree.apply(np.zeros((3, 7)))
+        with pytest.raises(ValueError, match="features"):
+            tree.apply(np.zeros(7))
+        with pytest.raises(ValueError, match="finite"):
+            tree.apply(np.full(iris.p, np.nan))
+
+    def test_single_vectors_route_as_rows(self, iris):
+        # a vector walks its own path; a matrix goes through partition
+        x = np.arange(1500, dtype=np.float64)[:, None]
+        chain = fit_tree(from_arrays(x, np.arange(1500) % 2 + 1),
+                         TreeConfig(min_leaf_size=1, num_bins=1000))
+        for tree, X in ((fit_tree(iris, TreeConfig(min_leaf_size=1)), iris.features),
+                        (chain, np.vstack([x, x + 0.5]))):
+            at_thresholds = np.resize(tree.threshold, X.shape)   # x == threshold goes right
+            for rows in (X, at_thresholds):
+                assert [tree.apply(v) for v in rows] == tree.apply(rows).tolist()
 
     def test_partition_property_on_random_points(self, iris, rng):
         tree = fit_tree(iris, TreeConfig())
@@ -341,9 +356,16 @@ class TestSerialization:
         ("histogram", [[1, 0], [0, -1], [1, 1]], "histogram"),
         ("histogram", [[1, 0], [0, 1.5], [1, 1]], "histogram"),
         ("histogram", [[1, 0, 0], [0, 1, 0], [1, 1, 0]], "histogram"),
+        ("n_features", 1.0, "n_features and n_classes must be integers"),
+        ("n_classes", 2.0, "n_features and n_classes must be integers"),
+        ("n_features", 0, "n_features and n_classes must be integers >= 1"),
+        ("n_classes", 0, "n_features and n_classes must be integers >= 1"),
+        ("n_features", True, "n_features and n_classes must be integers"),
+        ("n_classes", "2", "n_features and n_classes must be integers"),
     ], ids=["extra-leaf", "feature-out-of-range", "float-feature", "nodes-left-over",
             "short-threshold", "nan-threshold", "short-histogram", "negative-count",
-            "float-count", "wide-histogram"])
+            "float-count", "wide-histogram", "float-n_features", "float-n_classes",
+            "zero-n_features", "zero-n_classes", "bool-n_features", "string-n_classes"])
     def test_malformed_lists_rejected(self, key, value, message):
         with pytest.raises(ValueError, match=message):
             DecisionTree.from_dict({**self.VALID, key: value})
@@ -475,6 +497,8 @@ def reference_from_dict(d: dict) -> tuple:
     linked SplitNode/LeafNode objects built from the last node back, so a
     split's subtrees exist before it. Returns (root, leaves in id order)."""
     p, k = d["n_features"], d["n_classes"]
+    if not (type(p) is int and p >= 1 and type(k) is int and k >= 1):
+        raise ValueError("tree n_features and n_classes must be integers >= 1")
     feature, threshold, histogram = (np.asarray(d[key]) for key in
                                      ("feature", "threshold", "histogram"))
     if feature.ndim != 1 or feature.dtype.kind != "i" or not np.all(
@@ -537,7 +561,7 @@ def tree_lists(draw):
     """Tree lists in the model file's layout: the pre-order of a random tree,
     maybe with two entries swapped, the last moved first, one dropped or one
     added, or m leaves and m - 1 splits in random order; then maybe one
-    corrupted feature, threshold or histogram."""
+    corrupted feature, threshold, histogram, or feature or class count."""
     p, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     if draw(st.booleans()):
         feature, awaiting = [], 1
@@ -563,7 +587,7 @@ def tree_lists(draw):
                               min_size=max(m - 1, 0), max_size=max(m - 1, 0)))
     histogram = [draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)) for _ in range(m)]
     fault = draw(st.sampled_from(["none"] * 5 + ["feature", "float-feature", "nan", "threshold",
-                                                "count", "float-count", "histogram"]))
+                                                "count", "float-count", "histogram", "size"]))
     if fault == "feature" and feature:
         feature[draw(st.integers(0, len(feature) - 1))] = draw(st.sampled_from([-2, p]))
     elif fault == "float-feature":
@@ -578,6 +602,8 @@ def tree_lists(draw):
         histogram[draw(st.integers(0, m - 1))][0] = 1.5
     elif fault == "histogram":
         histogram = histogram[1:] if histogram and draw(st.booleans()) else histogram + [[0] * k]
+    if fault == "size":   # a float or a zero feature or class count
+        p, k = draw(st.sampled_from([(float(p), k), (p, float(k)), (0, k), (p, 0)]))
     return {"n_features": p, "n_classes": k, "config": TreeConfig().to_dict(),
             "feature": feature, "threshold": threshold, "histogram": histogram}
 
