@@ -127,42 +127,42 @@ class DecisionTree:
         return built[0]
 
     @cached_property
-    def _walk(self) -> tuple[list, list, list, list]:
-        """Per node in pre-order: its feature, its threshold (0 at a leaf), its
-        right child (one past its left subtree; 0 at a leaf) and its leaf id.
+    def _walk(self) -> tuple[list, list, list]:
+        """The feature and threshold lists, and per node its right child: the
+        node just past its left subtree (0 at a leaf), found from the last node
+        back, where each split's children have just closed their subtrees.
 
-        The running sum of +1 per split and -1 per leaf, taken before each
-        node, first falls below its value at node i just after i's subtree, so
-        each subtree's end is the next position holding that value less one.
+        A walk carries the running sum of +1 per split and -1 per leaf before
+        each node it visits. At node i, (i + sum) / 2 splits and (i - sum) / 2
+        leaves come before it: its threshold's and its leaf's positions.
         """
-        n, is_leaf = self.feature.size, self.feature < 0
-        before = np.concatenate([[0], np.where(is_leaf, -1, 1).cumsum()])
-        key = np.sort(before * (n + 1) + np.arange(n + 1))   # by (running sum, position)
-        shift = (before[:-1] - 1) * (n + 1)
-        end = key[np.searchsorted(key, shift + np.arange(n))] - shift
-        right = np.zeros(n, dtype=np.int64)
-        right[:-1] = np.where(is_leaf[:-1], 0, end[1:])
-        at = np.zeros(n)
-        at[~is_leaf] = self.threshold
-        return self.feature.tolist(), at.tolist(), right.tolist(), (is_leaf.cumsum() - 1).tolist()
+        feature = self.feature.tolist()
+        right, ends = [0] * len(feature), []   # ends of closed subtrees, the latest last
+        for i in range(len(feature) - 1, -1, -1):
+            if feature[i] < 0:
+                ends.append(i + 1)
+            else:   # its left subtree ends where its right child starts
+                right[i] = ends.pop()
+        return feature, self.threshold.tolist(), right
 
     def partition(self, X):
         """Yield (leaf, the ascending rows of X routed to it) for each leaf X
         reaches, visiting only the nodes that some row reaches."""
         X = feature_rows(X, self.n_features)
-        feature, at, right, leaf_id = self._walk
-        stack = [(0, np.arange(X.shape[0]))]   # the left child pops first: pre-order
+        feature, threshold, right = self._walk
+        stack = [(0, 0, np.arange(X.shape[0]))]   # (node, running sum, rows); left pops first
         while stack:
-            node, idx = stack.pop()
+            node, before, idx = stack.pop()
             if not idx.size:   # no row reaches the subtree
                 continue
             f = feature[node]
             if f < 0:
-                leaf = leaf_id[node]
+                leaf = (node - before) // 2
                 yield LeafNode(leaf, self.histogram[leaf]), idx
             else:
-                goes_left = X[idx, f] < at[node]
-                stack += [(right[node], idx[~goes_left]), (node + 1, idx[goes_left])]
+                goes_left = X[idx, f] < threshold[(node + before) // 2]
+                stack += [(right[node], before, idx[~goes_left]),
+                          (node + 1, before + 1, idx[goes_left])]
 
     def apply(self, X) -> np.ndarray | int:
         """Leaf id reached by each row of X (or by a single vector, which
@@ -170,11 +170,14 @@ class DecisionTree:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             x = feature_rows(X[None, :], self.n_features)[0].tolist()
-            feature, at, right, leaf_id = self._walk
-            node = 0
+            feature, threshold, right = self._walk
+            node = before = 0
             while feature[node] >= 0:
-                node = node + 1 if x[feature[node]] < at[node] else right[node]
-            return leaf_id[node]
+                if x[feature[node]] < threshold[(node + before) // 2]:
+                    node, before = node + 1, before + 1
+                else:
+                    node = right[node]
+            return (node - before) // 2
         out = np.empty(X.shape[:1], dtype=np.int64)  # partition rejects rows unless 2-D
         for leaf, idx in self.partition(X):
             out[idx] = leaf.leaf_id
@@ -378,14 +381,15 @@ class _Columns:
     """The training columns of a batch and their classes, indexed by row id.
 
     Row id r is the batch's r-th row, X[rows[r]]. `val` is the batch's rows
-    transposed, so row r's value of feature j is val[j, r]. `word` holds each
-    row's class packed as a digit in base n + 1, so one prefix sum counts
-    several classes.
+    transposed and flattened, so row r's value of feature j is val[j * n + r]
+    (`offset[j]` is j * n). `word` holds each row's class packed as a digit
+    in base n + 1, so one prefix sum counts several classes.
     """
 
     def __init__(self, X, y0, rows, n_classes):
-        self.val = X.T.take(rows, axis=1)
-        n = len(rows)
+        self.val = X.T.take(rows, axis=1).ravel()
+        n, p = len(rows), X.shape[1]
+        self.offset = np.arange(p) * n
         self.base = n + 1
         self.digits = 1          # classes per int64 word: n * base**(digits-1) < 2**63
         while n * self.base ** self.digits < 2 ** 63 and self.digits < n_classes:
@@ -400,9 +404,10 @@ class _Columns:
         segment per root: root r owns the next root_sizes[r] row ids. Equal
         values may come in any order: the search reads only values and counts,
         so the tree does not depend on it."""
-        order, ends = np.empty(self.val.shape, dtype=np.int64), root_sizes.cumsum()
+        val = self.val.reshape(len(self.offset), -1)
+        order, ends = np.empty(val.shape, dtype=np.int64), root_sizes.cumsum()
         for begin, end in zip((ends - root_sizes).tolist(), ends.tolist()):
-            order[:, begin:end] = np.argsort(self.val[:, begin:end], axis=1) + begin
+            order[:, begin:end] = np.argsort(val[:, begin:end], axis=1) + begin
         return order
 
     def class_counts(self, lists, seg, left_n, n_classes):
@@ -461,16 +466,17 @@ def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
     """
     m, (p, width) = len(sizes), lists.shape
     bins, k, mls = cfg.num_bins, counts.shape[1], cfg.min_leaf_size
+    flat, val = lists.ravel(), col.val
 
     pos = np.arange(1, bins) * (sizes - 1)[:, None] / bins   # (m, B-1)
     lo = pos.astype(np.int64)
     frac = (pos - lo)[:, None, :]
     seg = starts[:, None] + np.arange(p) * width              # (m, p): node v's entries on feature j
     at = seg[:, :, None] + lo[:, None, :]                     # lo <= n - 2 as i < B
-    sv = np.take_along_axis(col.val, lists, axis=1).ravel()   # the level's values, as listed
-    below = sv[at]
+    off = col.offset[:, None]
+    below = val[flat[at] + off]
     at += 1
-    above = sv[at]
+    above = val[flat[at] + off]
     del at
     cand = above * frac
     cand += below * (1.0 - frac)     # below (1 - f) + above f, one level-sized temporary
@@ -481,20 +487,23 @@ def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
     # rank, so they hold for a sorted candidate paired with a neighbour's rank too.
     left_n = np.broadcast_to(lo[:, None, :] + 1, cand.shape).copy()
     # below sv[-1]; above sv[0] follows from left_n >= min_leaf_size >= 1
-    inside = cand < sv[seg + (sizes - 1)[:, None]][:, :, None]
+    inside = cand < val[flat[seg + (sizes - 1)[:, None]] + col.offset][:, :, None]
     tied = cand <= below
     tied |= cand > above
     tied &= inside
-    v, j, r = tied.nonzero()
-    c, a, begin = cand[v, j, r], below[v, j, r], seg[v, j]
+    hard = tied.ravel().nonzero()[0]
+    pair = hard // (bins - 1)                                 # the cell's (node, feature)
+    c, a, begin = cand.ravel()[hard], below.ravel()[hard], seg.ravel()[pair]
+    shift = np.tile(col.offset, m)[pair]
     del tied, below, above
+    cells = left_n.ravel()
     # c == a opening a's run: left_n = lo; otherwise search the node
-    opens = (c == a) & (sv[begin + lo[v, r] - 1] < a)
-    left_n[v[opens], j[opens], r[opens]] -= 1
-    v, j, r, c, begin = (x[~opens] for x in (v, j, r, c, begin))
-    if v.size:
-        left_n[v, j, r] = _count_below(sv, begin, sizes[v], c)
-    del sv
+    opens = (c == a) & (val[flat[begin + cells[hard] - 2] + shift] < a)
+    cells[hard[opens]] -= 1
+    rest = ~opens
+    if rest.any():
+        cells[hard[rest]] = _count_below(val, flat, shift[rest], begin[rest],
+                                         np.repeat(sizes, p)[pair[rest]], c[rest])
     dead = ~inside
     dead |= left_n < mls
     dead |= left_n > (sizes - mls)[:, None, None]
@@ -541,9 +550,10 @@ def _gini_decrease(left, ln, sizes, counts, gini):
     return dec
 
 
-def _count_below(sv, begin, size, c):
-    """How many of the entries begin .. begin + size - 1 of sv (a node's
-    values on one feature, ascending) are below c, for c below the last.
+def _count_below(val, flat, shift, begin, size, c):
+    """How many of the entries begin .. begin + size - 1 of `flat` (a node's
+    rows on one feature, ascending, whose values are val[row + shift]) hold a
+    value below c, for c below the last.
 
     The last entry below c is found in as many halving steps as the largest
     node needs (in a batch, another root's nodes may be larger); a probe past
@@ -552,7 +562,7 @@ def _count_below(sv, begin, size, c):
     pos, last = begin - 1, begin + size - 1
     for step in 1 << np.arange(int(size.max()).bit_length())[::-1]:
         probe = np.minimum(pos + step, last)
-        pos = np.where(sv[probe] < c, probe, pos)
+        pos = np.where(val[flat[probe] + shift] < c, probe, pos)
     return pos + 1 - begin
 
 
