@@ -38,7 +38,6 @@ its segment from the start.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -575,7 +574,8 @@ def _sum_sq(parts, k):
     q = next(parts)
     if k >= 8:
         rows = np.empty(q.shape + (k,))
-        for c, term in enumerate(itertools.chain([q], parts)):
+        rows[..., 0] = q
+        for c, term in enumerate(parts, 1):
             rows[..., c] = term
         rows *= rows
         return rows.reshape(-1, k).sum(axis=1).reshape(q.shape)
