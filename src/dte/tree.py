@@ -491,18 +491,19 @@ def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
     tied |= cand > above
     tied &= inside
     hard = tied.ravel().nonzero()[0]
-    pair = hard // (bins - 1)                                 # the cell's (node, feature)
-    c, a, begin = cand.ravel()[hard], below.ravel()[hard], seg.ravel()[pair]
-    shift = np.tile(col.offset, m)[pair]
+    pair = hard // (bins - 1)                                 # the cell's node * p + feature
+    c, a = cand.ravel()[hard], below.ravel()[hard]
+    begin, shift = seg.ravel()[pair], col.offset[pair % p]
     del tied, below, above
     cells = left_n.ravel()
-    # c == a opening a's run: left_n = lo; otherwise search the node
+    # c == a opening a's run (the value before rank lo = cells - 1 is below a):
+    # left_n = lo; otherwise search the node
     opens = (c == a) & (val[flat[begin + cells[hard] - 2] + shift] < a)
     cells[hard[opens]] -= 1
     rest = ~opens
     if rest.any():
         cells[hard[rest]] = _count_below(val, flat, shift[rest], begin[rest],
-                                         np.repeat(sizes, p)[pair[rest]], c[rest])
+                                         sizes[pair[rest] // p], c[rest])
     dead = ~inside
     dead |= left_n < mls
     dead |= left_n > (sizes - mls)[:, None, None]
