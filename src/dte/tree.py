@@ -164,23 +164,13 @@ class DecisionTree:
                           (node + 1, before + 1, idx[goes_left])]
 
     def apply(self, X) -> np.ndarray | int:
-        """Leaf id reached by each row of X (or by a single vector, which
-        walks its root-to-leaf path)."""
+        """Leaf id reached by each row of X (or by a single vector)."""
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            x = feature_rows(X[None, :], self.n_features)[0].tolist()
-            feature, threshold, right = self._walk
-            node = before = 0
-            while feature[node] >= 0:
-                if x[feature[node]] < threshold[(node + before) // 2]:
-                    node, before = node + 1, before + 1
-                else:
-                    node = right[node]
-            return (node - before) // 2
-        out = np.empty(X.shape[:1], dtype=np.int64)  # partition rejects rows unless 2-D
-        for leaf, idx in self.partition(X):
+        rows = X[None, :] if X.ndim == 1 else X
+        out = np.empty(rows.shape[:1], dtype=np.int64)  # partition rejects rows unless 2-D
+        for leaf, idx in self.partition(rows):
             out[idx] = leaf.leaf_id
-        return out
+        return int(out[0]) if X.ndim == 1 else out
 
     def predict(self, X) -> np.ndarray | int:
         """Majority-class label of the reached leaf; ties resolve to the smallest id."""

@@ -120,16 +120,18 @@ class TestApply:
         with pytest.raises(ValueError, match="finite"):
             tree.apply(np.full(iris.p, np.nan))
 
-    def test_single_vectors_route_as_rows(self, iris):
-        # a vector walks its own path; a matrix goes through partition
+    def test_single_vector_reaches_the_reference_leaf(self, iris):
+        # one row reaches one path, so partition skips every other subtree
         x = np.arange(1500, dtype=np.float64)[:, None]
         chain = fit_tree(from_arrays(x, np.arange(1500) % 2 + 1),
                          TreeConfig(min_leaf_size=1, num_bins=1000))
-        for tree, X in ((fit_tree(iris, TreeConfig(min_leaf_size=1)), iris.features),
-                        (chain, np.vstack([x, x + 0.5]))):
+        for tree, X in ((fit_tree(iris, TreeConfig(min_leaf_size=1)), iris.features[::7]),
+                        (chain, np.vstack([x[::61], x[::61] + 0.5]))):
             at_thresholds = np.resize(tree.threshold, X.shape)   # x == threshold goes right
-            for rows in (X, at_thresholds):
-                assert [tree.apply(v) for v in rows] == tree.apply(rows).tolist()
+            for v in np.vstack([X, at_thresholds]):
+                (leaf, _), = reference_partition(tree.root, v[None, :])
+                got = tree.apply(v)
+                assert type(got) is int and got == leaf.leaf_id
 
     def test_partition_property_on_random_points(self, iris, rng):
         tree = fit_tree(iris, TreeConfig())

@@ -9,10 +9,7 @@ its tied-candidate search was rewritten), when ``to_dict`` still nested the
 nodes; ``nested`` rebuilds that form from the flat pre-order lists, so the
 pins cover every saved value. Any change to a split, a threshold bit, the
 leaf numbering or a leaf's rows fails here. Regenerate them only for a
-deliberate change of the split rule. The wide-bins cases (``*/1-255-None``
-and ``deep-tied/2-100-None``), whose nodes hold many candidates outside
-their range or repeating a left size, were pinned later, from the grower
-that still compacted its candidates before scoring them. Regenerate with:
+deliberate change of the split rule. Regenerate with:
 
     PYTHONPATH=src python tests/test_tree_golden.py
 """
