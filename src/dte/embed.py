@@ -69,14 +69,12 @@ class Embedding:
 
     @staticmethod
     def from_dict(d: dict) -> "Embedding":
-        anchors = np.asarray(d["W"], dtype=np.float64)
+        anchors = np.asarray(d["W"])
+        if anchors.dtype.kind not in "if":
+            raise ValueError("W must hold numbers")
+        anchors = anchors.astype(np.float64, copy=False)
         trees = tuple(DecisionTree.from_dict(t) for t in d["trees"])
         return Embedding(anchors, anchor_intercept(anchors), trees)
-
-
-def _leaf_means_arrays(X: np.ndarray, tree: DecisionTree) -> np.ndarray:
-    """The mean of the rows of X that the tree routes to each leaf."""
-    return _leaf_means(X, tree.apply(X), tree.n_leaves)
 
 
 def _leaf_means(X: np.ndarray, leaf: np.ndarray, n_leaves: int) -> np.ndarray:

@@ -48,8 +48,11 @@ class LdaModel:
 
     @staticmethod
     def from_dict(d: dict) -> "LdaModel":
-        return LdaModel(np.asarray(d["means"]), np.asarray(d["cov_pinv"]),
-                        np.asarray(d["log_priors"]))
+        arrays = {name: np.asarray(d[name]) for name in ("means", "cov_pinv", "log_priors")}
+        bad = [name for name, a in arrays.items() if a.dtype.kind not in "if"]
+        if bad:
+            raise ValueError(f"lda {', '.join(bad)} must hold numbers")
+        return LdaModel(**arrays)
 
 
 def fit_lda(Z, labels) -> LdaModel:

@@ -67,9 +67,14 @@ class TreeConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TreeConfig":
-        return TreeConfig(d["min_leaf_size"], d["num_bins"], d.get("max_depth"))
+        mls, bins, depth = d["min_leaf_size"], d["num_bins"], d.get("max_depth")
+        if not (type(mls) is int and type(bins) is int and (depth is None or type(depth) is int)):
+            raise ValueError("tree config min_leaf_size and num_bins must be integers, "
+                             "max_depth an integer or null")
+        return TreeConfig(mls, bins, depth)
 
 
+# The linked view that DecisionTree.root builds; perfbench/counts.py tree_stats walks it.
 @dataclass(repr=False, eq=False)  # generated repr and == would recurse once per level
 class SplitNode:
     feature: int
@@ -78,26 +83,19 @@ class SplitNode:
     right: Union["SplitNode", "LeafNode"]
 
 
+# A leaf of DecisionTree.root's linked view; perfbench/counts.py tree_stats reads it.
 @dataclass(eq=False)
 class LeafNode:
     leaf_id: int
     histogram: np.ndarray          # class counts, index c-1 -> class c; rows are not kept
-
-    @property
-    def majority(self) -> int:
-        """Majority class id; ties resolve to the smallest id."""
-        return int(np.argmax(self.histogram)) + 1
-
-    @property
-    def size(self) -> int:
-        return int(self.histogram.sum())
 
 
 @dataclass(eq=False)
 class DecisionTree:
     """A fitted tree as the pre-order lists of its model file, like scikit-learn's
     ``tree_``: ``feature`` per node (-1 at a leaf), ``threshold`` per split and
-    ``histogram`` per leaf. A leaf's id is its position among the leaves."""
+    ``histogram`` per leaf. A leaf's id is its position among the leaves;
+    ``apply`` routes rows to leaf ids, and ``root`` is the only linked view."""
 
     feature: np.ndarray            # int64, one per node in pre-order
     threshold: np.ndarray          # float64, one per split in pre-order
@@ -111,14 +109,10 @@ class DecisionTree:
         return len(self.histogram)
 
     @property
-    def leaves(self) -> list[LeafNode]:
-        """The leaves as LeafNode objects; position j holds leaf j."""
-        return [LeafNode(j, hist) for j, hist in enumerate(self.histogram)]
-
-    @property
     def root(self) -> Union[SplitNode, LeafNode]:
         """The tree as linked SplitNode and LeafNode objects, built from the last node back."""
-        leaves, thresholds = iter(self.leaves[::-1]), iter(self.threshold.tolist()[::-1])
+        leaves = (LeafNode(j, self.histogram[j]) for j in range(self.n_leaves - 1, -1, -1))
+        thresholds = iter(self.threshold.tolist()[::-1])
         built = []   # subtrees awaiting a parent, the next left child last
         for f in reversed(self.feature.tolist()):
             built.append(next(leaves) if f < 0 else
@@ -144,32 +138,25 @@ class DecisionTree:
                 right[i] = ends.pop()
         return feature, self.threshold.tolist(), right
 
-    def partition(self, X):
-        """Yield (leaf, the ascending rows of X routed to it) for each leaf X
-        reaches, visiting only the nodes that some row reaches."""
-        X = feature_rows(X, self.n_features)
+    def apply(self, X) -> np.ndarray | int:
+        """Leaf id reached by each row of X (or by a single vector), visiting
+        only the nodes that some row reaches."""
+        X = np.asarray(X, dtype=np.float64)
+        rows = feature_rows(X[None, :] if X.ndim == 1 else X, self.n_features)
         feature, threshold, right = self._walk
-        stack = [(0, 0, np.arange(X.shape[0]))]   # (node, running sum, rows); left pops first
+        out = np.empty(rows.shape[0], dtype=np.int64)
+        stack = [(0, 0, np.arange(rows.shape[0]))]   # (node, running sum, rows); left pops first
         while stack:
             node, before, idx = stack.pop()
             if not idx.size:   # no row reaches the subtree
                 continue
             f = feature[node]
             if f < 0:
-                leaf = (node - before) // 2
-                yield LeafNode(leaf, self.histogram[leaf]), idx
+                out[idx] = (node - before) // 2
             else:
-                goes_left = X[idx, f] < threshold[(node + before) // 2]
+                goes_left = rows[idx, f] < threshold[(node + before) // 2]
                 stack += [(right[node], before, idx[~goes_left]),
                           (node + 1, before + 1, idx[goes_left])]
-
-    def apply(self, X) -> np.ndarray | int:
-        """Leaf id reached by each row of X (or by a single vector)."""
-        X = np.asarray(X, dtype=np.float64)
-        rows = X[None, :] if X.ndim == 1 else X
-        out = np.empty(rows.shape[:1], dtype=np.int64)  # partition rejects rows unless 2-D
-        for leaf, idx in self.partition(rows):
-            out[idx] = leaf.leaf_id
         return int(out[0]) if X.ndim == 1 else out
 
     def predict(self, X) -> np.ndarray | int:

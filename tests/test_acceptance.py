@@ -169,7 +169,7 @@ def test_p3_nearest_anchor_identity():
 
 def test_p4_leaf_means_aggregate_to_global_mean(iris, wine, cancer):
     from dte.data import bootstrap
-    from dte.embed import _leaf_means_arrays
+    from dte.embed import _leaf_means
     from dte.tree import fit_tree_arrays
 
     datasets = {"iris": iris, "wine": wine, "cancer": cancer,
@@ -185,8 +185,8 @@ def test_p4_leaf_means_aggregate_to_global_mean(iris, wine, cancer):
             matrices.append((ds.features[idx], ds.labels[idx]))
         for X, y in matrices:
             tree = fit_tree_arrays(X, y, ds.n_classes, TreeConfig())
-            means = _leaf_means_arrays(X, tree)
-            sizes = np.array([leaf.size for leaf in tree.leaves])
+            means = _leaf_means(X, tree.apply(X), tree.n_leaves)
+            sizes = tree.histogram.sum(axis=1)
             agg = (sizes[:, None] * means).sum(axis=0) / X.shape[0]
             global_mean = X.mean(axis=0)
             rel = np.abs(agg - global_mean).max() / max(np.abs(global_mean).max(), 1.0)

@@ -282,6 +282,33 @@ class TestModelValidation:
         err = capsys.readouterr().err
         assert "malformed model" in err and "n_features and n_classes must be integers" in err
 
+    @pytest.mark.parametrize("config", [
+        {"min_leaf_size": 10.0, "num_bins": 30.0},
+        {"min_leaf_size": True},
+        {"max_depth": 2.5},
+    ], ids=["float-sizes", "bool-min-leaf", "float-depth"])
+    def test_tree_config_must_be_integers(self, iris_model, tmp_path, capsys, config):
+        def edit(model):
+            model["embedding"]["trees"][0]["config"].update(config)
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        err = capsys.readouterr().err
+        assert "malformed model" in err and "tree config min_leaf_size and num_bins" in err
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("embedding", "W"), lambda W: [[str(x) for x in row] for row in W], "W must hold numbers"),
+        (("lda", "means"), lambda M: [[str(x) for x in row] for row in M],
+         "lda means must hold numbers"),
+        (("lda", "log_priors"), lambda priors: [True] * len(priors),
+         "lda log_priors must hold numbers"),
+    ], ids=["string-W", "string-lda-means", "bool-log-priors"])
+    def test_arrays_must_hold_numbers(self, iris_model, tmp_path, capsys, path, value, message):
+        def edit(model):
+            part, key = path
+            model[part][key] = value(model[part][key])
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        err = capsys.readouterr().err
+        assert "malformed model" in err and message in err
+
     @pytest.mark.parametrize("schema", [
         lambda columns: columns[:3],
         lambda columns: columns + [{"name": "extra", "kind": "numeric"}],

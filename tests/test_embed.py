@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dte import Embedding, TreeConfig, dte_t, fit_embedding, from_arrays, project
-from dte.embed import _leaf_means, _leaf_means_arrays, anchor_intercept, tree_samples
+from dte.embed import _leaf_means, anchor_intercept, tree_samples
 from dte.oracle import sample_mixture, three_cluster_spec
 from dte.tree import DecisionTree, fit_tree, fit_trees_arrays
 
@@ -20,22 +20,23 @@ def sim100():
 class TestLeafMeans:
     def test_single_leaf_is_global_mean(self, iris):
         tree = fit_tree(iris, TreeConfig(max_depth=0))
-        means = _leaf_means_arrays(iris.features, tree)
+        means = _leaf_means(iris.features, tree.apply(iris.features), tree.n_leaves)
         assert np.allclose(means[0], iris.features.mean(axis=0), rtol=1e-12)
 
     def test_hand_computed_two_leaf_means(self):
         ds = from_arrays([[0.0, 0.0], [0.0, 2.0], [4.0, 0.0], [4.0, 2.0]], [1, 1, 2, 2])
         tree = fit_tree(ds, TreeConfig(min_leaf_size=1, num_bins=4))
         assert tree.n_leaves == 2
-        means = _leaf_means_arrays(ds.features, tree)
+        means = _leaf_means(ds.features, tree.apply(ds.features), tree.n_leaves)
         assert np.array_equal(means, np.array([[0.0, 1.0], [4.0, 1.0]]))
 
     def test_recomputed_via_apply_matches_stored(self, wine):
         tree = fit_tree(wine, TreeConfig())
-        stored = _leaf_means_arrays(wine.features, tree)
+        stored = _leaf_means(wine.features, tree.apply(wine.features), tree.n_leaves)
         rebuilt = Embedding.from_dict(
             json.loads(json.dumps(dte_t(wine, TreeConfig(), 1, 0)[1].to_dict()))).trees[0]
-        assert np.array_equal(_leaf_means_arrays(wine.features, rebuilt), stored)
+        assert np.array_equal(
+            _leaf_means(wine.features, rebuilt.apply(wine.features), rebuilt.n_leaves), stored)
 
     def test_bit_equal_to_each_leafs_own_mean(self, iris, wine, cancer):
         signed = from_arrays([[-0.0, 0.0], [-0.0, 1.0], [-0.0, 2.0], [5.0, -0.0], [6.0, -0.0]],
@@ -43,9 +44,10 @@ class TestLeafMeans:
         for ds in (iris, wine, cancer, signed):
             tree = fit_tree(ds, TreeConfig(min_leaf_size=1))
             own = np.zeros((tree.n_leaves, ds.p))
-            for leaf, rows in tree.partition(ds.features):
-                own[leaf.leaf_id] = ds.features[rows].mean(axis=0)
-            means = _leaf_means_arrays(ds.features, tree)
+            ids = tree.apply(ds.features)
+            for j in range(tree.n_leaves):
+                own[j] = ds.features[np.flatnonzero(ids == j)].mean(axis=0)
+            means = _leaf_means(ds.features, tree.apply(ds.features), tree.n_leaves)
             assert np.array_equal(means.view(np.int64), own.view(np.int64))
 
     def test_leaf_without_rows_is_an_error(self, wine):
@@ -53,13 +55,13 @@ class TestLeafMeans:
         keep = tree.apply(wine.features) != 0
         others = from_arrays(wine.features[keep], wine.labels[keep])
         with pytest.raises(ValueError, match="leaf 0 received no rows"):
-            _leaf_means_arrays(others.features, tree)
+            _leaf_means(others.features, tree.apply(others.features), tree.n_leaves)
 
     def test_mass_weighted_means_aggregate_to_global_mean(self, wine, cancer, sim100):
         for ds in (wine, cancer, sim100):
             tree = fit_tree(ds, TreeConfig())
-            means = _leaf_means_arrays(ds.features, tree)
-            sizes = np.array([leaf.size for leaf in tree.leaves])
+            means = _leaf_means(ds.features, tree.apply(ds.features), tree.n_leaves)
+            sizes = tree.histogram.sum(axis=1)
             agg = (sizes[:, None] * means).sum(axis=0) / ds.n
             assert np.allclose(agg, ds.features.mean(axis=0), rtol=1e-10)
 
@@ -100,7 +102,6 @@ class TestGrowerLeafIds:
             assert leaf.dtype == np.int64 and np.array_equal(leaf, tree.apply(Xs))
             if Xs.shape[0]:
                 means = _leaf_means(Xs, leaf, tree.n_leaves)
-                assert means.tobytes() == _leaf_means_arrays(Xs, tree).tobytes()
                 assert means.tobytes() == _add_at_means(Xs, leaf, tree.n_leaves).tobytes()
 
     def test_fit_embedding_anchors_equal_the_routed_means(self, iris, wine, cancer):

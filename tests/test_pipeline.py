@@ -95,7 +95,7 @@ class TestFitPredict:
         # the tree, the embedding and the LDA rule share one check of the rows they read
         clf = fit(iris, TreeConfig(), t=2)
         messages = []
-        for read in (lambda X: list(clf.embedding.trees[0].partition(X)),
+        for read in (lambda X: clf.embedding.trees[0].apply(X),
                      lambda X: project(clf.embedding, X),
                      lambda X: discriminant_scores(clf.lda, X)):
             with pytest.raises(ValueError) as exc:

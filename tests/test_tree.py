@@ -99,10 +99,10 @@ class TestApply:
     def test_training_rows_route_to_their_leaf(self, iris):
         tree = fit_tree(iris, TreeConfig())
         ids = tree.apply(iris.features)
-        for leaf, rows in tree.partition(iris.features):
-            assert np.all(ids[rows] == leaf.leaf_id)
+        for j, hist in enumerate(tree.histogram):
+            rows = np.flatnonzero(ids == j)
             assert np.array_equal(np.bincount(iris.labels[rows] - 1, minlength=iris.n_classes),
-                                  leaf.histogram)
+                                  hist)
 
     def test_boundary_value_routes_right(self):
         tree = DecisionTree.from_dict({"n_features": 1, "n_classes": 2,
@@ -121,7 +121,7 @@ class TestApply:
             tree.apply(np.full(iris.p, np.nan))
 
     def test_single_vector_reaches_the_reference_leaf(self, iris):
-        # one row reaches one path, so partition skips every other subtree
+        # one row reaches one path, so apply skips every other subtree
         x = np.arange(1500, dtype=np.float64)[:, None]
         chain = fit_tree(from_arrays(x, np.arange(1500) % 2 + 1),
                          TreeConfig(min_leaf_size=1, num_bins=1000))
@@ -144,12 +144,15 @@ class TestApply:
 class TestPredict:
     def test_pure_leaves_give_zero_training_error(self, iris):
         tree = fit_tree(iris, TreeConfig(min_leaf_size=1))
-        assert all(gini(leaf.histogram) == 0.0 for leaf in tree.leaves)
+        assert all(gini(hist) == 0.0 for hist in tree.histogram)
         assert np.array_equal(tree.predict(iris.features), iris.labels)
 
     def test_majority_tie_prefers_smallest_class(self):
-        leaf = LeafNode(0, np.array([3, 3]))
-        assert leaf.majority == 1
+        tree = DecisionTree.from_dict({"n_features": 1, "n_classes": 3,
+                                       "config": TreeConfig().to_dict(), "feature": [0, -1, -1],
+                                       "threshold": [1.5], "histogram": [[3, 3, 0], [0, 4, 4]]})
+        assert tree.predict(np.array([0.0])) == 1
+        assert tree.predict(np.array([[0.0], [2.0]])).tolist() == [1, 2]
 
     def test_module_level_alias(self, iris):
         tree = fit_tree(iris, TreeConfig())
@@ -160,12 +163,10 @@ class TestPredict:
 class TestInvariants:
     def test_leaf_index_sets_partition_training_rows(self, wine):
         tree = fit_tree(wine, TreeConfig())
-        parts = list(tree.partition(wine.features))
-        assert sorted(leaf.leaf_id for leaf, _ in parts) == list(range(tree.n_leaves))
-        assert all(np.all(np.diff(rows) > 0) for _, rows in parts)
-        assert all(rows.size == leaf.size for leaf, rows in parts)
-        all_rows = np.concatenate([rows for _, rows in parts])
-        assert sorted(all_rows.tolist()) == list(range(wine.n))
+        ids = tree.apply(wine.features)
+        assert ids.min() >= 0 and ids.max() < tree.n_leaves
+        assert np.array_equal(np.bincount(ids, minlength=tree.n_leaves),
+                              tree.histogram.sum(axis=1))
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_split_gini_sums_keep_numpy_sum_bits(self, k):
@@ -177,7 +178,7 @@ class TestInvariants:
     def test_min_leaf_size_respected(self, wine):
         for mls in (1, 5, 10, 25):
             tree = fit_tree(wine, TreeConfig(min_leaf_size=mls))
-            assert all(leaf.size >= mls for leaf in tree.leaves)
+            assert np.all(tree.histogram.sum(axis=1) >= mls)
 
     def test_every_split_strictly_decreases_gini(self, cancer):
         tree = fit_tree(cancer, TreeConfig())
@@ -225,12 +226,11 @@ class TestInvariants:
         y = rng.integers(1, 4, size=n)
         y[:3] = [1, 2, 3]  # keep every class present
         tree = fit_tree(from_arrays(X, y), TreeConfig(min_leaf_size=mls, num_bins=8))
-        assert [leaf.leaf_id for leaf in tree.leaves] == list(range(tree.n_leaves))
-        assert sum(leaf.size for leaf in tree.leaves) == n
-        assert all(leaf.size >= mls for leaf in tree.leaves)
+        sizes = tree.histogram.sum(axis=1)
+        assert sizes.sum() == n
+        assert np.all(sizes >= mls)
         ids = tree.apply(X)
-        assert np.array_equal(np.bincount(ids, minlength=tree.n_leaves),
-                              np.array([leaf.size for leaf in tree.leaves]))
+        assert np.array_equal(np.bincount(ids, minlength=tree.n_leaves), sizes)
 
 
 def reference_split(x, y0, k, mls, bins):
@@ -344,7 +344,7 @@ class TestSerialization:
     def test_flat_lists_load_in_pre_order(self):
         tree = DecisionTree.from_dict(self.VALID)
         assert tree.to_dict() == self.VALID
-        assert [leaf.histogram.tolist() for leaf in tree.leaves] == self.VALID["histogram"]
+        assert reference_lists(tree.root)[2] == self.VALID["histogram"]
         assert tree.apply(np.array([[0.0], [1.0], [2.0]])).tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("key, value, message", [
@@ -364,10 +364,19 @@ class TestSerialization:
         ("n_classes", 0, "n_features and n_classes must be integers >= 1"),
         ("n_features", True, "n_features and n_classes must be integers"),
         ("n_classes", "2", "n_features and n_classes must be integers"),
+        ("config", {"min_leaf_size": 10.0, "num_bins": 30.0, "max_depth": None},
+         "min_leaf_size and num_bins must be integers"),
+        ("config", {"min_leaf_size": True, "num_bins": 30, "max_depth": None},
+         "min_leaf_size and num_bins must be integers"),
+        ("config", {"min_leaf_size": 10, "num_bins": 30, "max_depth": 2.5},
+         "max_depth an integer or null"),
+        ("config", {"min_leaf_size": 10, "num_bins": 30, "max_depth": False},
+         "max_depth an integer or null"),
     ], ids=["extra-leaf", "feature-out-of-range", "float-feature", "nodes-left-over",
             "short-threshold", "nan-threshold", "short-histogram", "negative-count",
             "float-count", "wide-histogram", "float-n_features", "float-n_classes",
-            "zero-n_features", "zero-n_classes", "bool-n_features", "string-n_classes"])
+            "zero-n_features", "zero-n_classes", "bool-n_features", "string-n_classes",
+            "float-config-sizes", "bool-min_leaf_size", "float-max_depth", "bool-max_depth"])
     def test_malformed_lists_rejected(self, key, value, message):
         with pytest.raises(ValueError, match=message):
             DecisionTree.from_dict({**self.VALID, key: value})
@@ -543,7 +552,7 @@ def reference_lists(root) -> tuple[list, list, list]:
 
 
 def reference_partition(root, X):
-    """Reference for partition: (leaf, the ascending rows of X routed to it)
+    """Reference for apply: (leaf, the ascending rows of X routed to it)
     for each leaf X reaches, walking the linked nodes."""
     stack = [(root, np.arange(X.shape[0]))]
     while stack:
@@ -625,28 +634,18 @@ class TestTreeListsReference:
             return
         tree = DecisionTree.from_dict(d)
         assert reference_lists(tree.root) == reference_lists(root)
-        assert [leaf.leaf_id for leaf in tree.leaves] == list(range(len(leaves)))
-        assert [leaf.histogram.tolist() for leaf in tree.leaves] == \
-            [leaf.histogram.tolist() for leaf in leaves]
+        assert tree.histogram.tolist() == [leaf.histogram.tolist() for leaf in leaves]
 
     @staticmethod
     def assert_matches_reference(tree, X):
         d = tree.to_dict()
         assert reference_lists(tree.root) == (d["feature"], d["threshold"], d["histogram"])
-        assert [leaf.leaf_id for leaf in tree.leaves] == list(range(tree.n_leaves))
-        assert [leaf.histogram.tolist() for leaf in tree.leaves] == d["histogram"]
-        expected = {leaf.leaf_id: (leaf.histogram.tolist(), rows)
-                    for leaf, rows in reference_partition(tree.root, X)}
-        got = {leaf.leaf_id: (leaf.histogram.tolist(), rows) for leaf, rows in tree.partition(X)}
-        assert sorted(got) == sorted(expected)
-        for leaf_id, (hist, rows) in expected.items():
-            assert got[leaf_id][0] == hist and np.array_equal(got[leaf_id][1], rows)
-        ids = np.empty(X.shape[0], dtype=np.int64)
+        ids, majority = (np.empty(X.shape[0], dtype=np.int64) for _ in range(2))
         for leaf, rows in reference_partition(tree.root, X):
             ids[rows] = leaf.leaf_id
+            majority[rows] = np.argmax(leaf.histogram) + 1   # ties go to the smallest class
         assert np.array_equal(tree.apply(X), ids)
-        majority = np.array([leaf.majority for leaf in tree.leaves], dtype=np.int64)
-        assert np.array_equal(tree.predict(X), majority[ids])
+        assert np.array_equal(tree.predict(X), majority)
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=11),
            st.sampled_from([None, 0, 1, 3]), st.sampled_from([1, 2, 5]),
