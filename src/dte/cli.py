@@ -82,7 +82,7 @@ def _load_model(path):
     if not isinstance(model, dict):
         raise DataError(f"{path}: malformed model (the top level is not a JSON object)")
     version = model.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise DataError(f"{path}: model format version {version} is not supported "
                         f"(this dte reads version {MODEL_FORMAT_VERSION}); "
                         f"retrain the model with dte train")

@@ -1,6 +1,6 @@
-"""Dataset ingestion, the columnar CSV codec (``fit_schema``, ``encode`` and ``decode``
-over a tuple of ``Column``), the row check of fitted models (``feature_rows``),
-stratified folds, and bootstrap resampling."""
+"""Dataset ingestion, the columnar CSV reader (``fit_schema`` and ``encode`` over a
+tuple of ``Column``), the checks of fitted models' rows (``feature_rows``) and saved
+arrays (``json_numbers``), stratified folds, and bootstrap resampling."""
 
 from __future__ import annotations
 
@@ -124,6 +124,21 @@ def feature_rows(X, p: int) -> np.ndarray:
     return X
 
 
+def json_numbers(values, integers: bool = False) -> np.ndarray | None:
+    """A JSON array of numbers (of integers) as a float64 (int64) array, or None when
+    any entry is a string, a null or a boolean (or not an integer)."""
+    a = np.asarray(values)
+    if a.dtype.kind not in ("i" if integers else "if"):
+        return None
+    if np.any((a == 0) | (a == 1)):   # numpy reads a boolean among numbers as 0 or 1
+        entries = [values] if a.ndim == 0 else values
+        for _ in range(a.ndim - 1):
+            entries = itertools.chain.from_iterable(entries)
+        if bool in set(map(type, entries)):
+            return None
+    return a.astype(np.int64 if integers else np.float64, copy=False)
+
+
 def _read(path, has_header: bool) -> tuple[list[str] | None, list[str], np.ndarray]:
     """The header (None without one or in an empty file), the data cells in row
     order and each data row's field count; no list of rows is ever held."""
@@ -229,26 +244,6 @@ def encode(schema, columns, path, first_line: int) -> np.ndarray:
     return X
 
 
-def decode(schema, features) -> tuple[list[str], list[list[str]]]:
-    """Invert ``encode``: source column names and cells, numbers in shortest
-    round-trip form; each one-hot group must have exactly one 1.0 per row."""
-    names, columns = [], []
-    for name, idx in source_columns(schema):
-        names.append(name)
-        if schema[idx[0]].kind == "numeric":
-            columns.append(list(map(repr, features[:, idx[0]].tolist())))
-            continue
-        hot = features[:, idx] == 1.0
-        active = hot.sum(axis=1)
-        bad = np.flatnonzero(active != 1)
-        if bad.size:
-            raise DataError(f"row {bad[0]}: one-hot group {name!r} "
-                            f"has {active[bad[0]]} active columns")
-        categories = [schema[j].category for j in idx]
-        columns.append(list(map(categories.__getitem__, hot.argmax(axis=1).tolist())))
-    return names, columns
-
-
 def load_csv(path, label_column, has_header: bool = True) -> Dataset:
     """Load a labeled CSV into a Dataset, its schema from ``fit_schema``.
 
@@ -314,17 +309,6 @@ def load_features(path, schema, has_header: bool = True) -> np.ndarray:
     keep = {position[name] for name, idx in groups if schema[idx[0]].kind == "onehot"}
     columns = _columns(path, header, cells, lengths, first_line, keep)
     return encode(schema, [columns[position[s]] for s in sources], path, first_line)
-
-
-def save_csv(ds: Dataset, path) -> None:
-    """Write a Dataset back to CSV through ``decode``; reloading the file with
-    load_csv(path, ds.label_column) reproduces the Dataset exactly."""
-    names, columns = decode(ds.schema, ds.features)
-    labels = map(ds.label_names.__getitem__, (ds.labels - 1).tolist())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([*names, ds.label_column])
-        w.writerows(zip(*columns, labels))
 
 
 @dataclass(frozen=True)

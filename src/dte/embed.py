@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, bootstrap, feature_rows
+from .data import Dataset, bootstrap, feature_rows, json_numbers
 from .tree import DecisionTree, TreeConfig, fit_tree_arrays
 
 @dataclass(frozen=True, eq=False)
@@ -69,10 +69,9 @@ class Embedding:
 
     @staticmethod
     def from_dict(d: dict) -> "Embedding":
-        anchors = np.asarray(d["W"])
-        if anchors.dtype.kind not in "if":
+        anchors = json_numbers(d["W"])
+        if anchors is None:
             raise ValueError("W must hold numbers")
-        anchors = anchors.astype(np.float64, copy=False)
         trees = tuple(DecisionTree.from_dict(t) for t in d["trees"])
         return Embedding(anchors, anchor_intercept(anchors), trees)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import feature_rows
+from .data import feature_rows, json_numbers
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,8 +48,8 @@ class LdaModel:
 
     @staticmethod
     def from_dict(d: dict) -> "LdaModel":
-        arrays = {name: np.asarray(d[name]) for name in ("means", "cov_pinv", "log_priors")}
-        bad = [name for name, a in arrays.items() if a.dtype.kind not in "if"]
+        arrays = {name: json_numbers(d[name]) for name in ("means", "cov_pinv", "log_priors")}
+        bad = [name for name, a in arrays.items() if a is None]
         if bad:
             raise ValueError(f"lda {', '.join(bad)} must hold numbers")
         return LdaModel(**arrays)

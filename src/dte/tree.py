@@ -44,7 +44,7 @@ from typing import Union
 
 import numpy as np
 
-from .data import Dataset, feature_rows
+from .data import Dataset, feature_rows, json_numbers
 
 
 @dataclass(frozen=True)
@@ -175,22 +175,20 @@ class DecisionTree:
         p, k = d["n_features"], d["n_classes"]
         if not (type(p) is int and p >= 1 and type(k) is int and k >= 1):
             raise ValueError("tree n_features and n_classes must be integers >= 1")
-        feature, threshold, histogram = (np.asarray(d[key]) for key in
-                                         ("feature", "threshold", "histogram"))
-        if feature.ndim != 1 or feature.dtype.kind != "i" or not np.all(
-                (feature >= -1) & (feature < p)):
+        feature, threshold, histogram = (json_numbers(d[key], integers=key != "threshold")
+                                         for key in ("feature", "threshold", "histogram"))
+        if feature is None or feature.ndim != 1 or not np.all((feature >= -1) & (feature < p)):
             raise ValueError(f"tree feature must be a list of -1 or 0..{p - 1}")
         m = int(np.count_nonzero(feature < 0))
-        if feature.size != 2 * m - 1 or threshold.shape != (m - 1,) \
-                or threshold.dtype.kind not in "if" or not np.all(np.isfinite(threshold)):
+        if threshold is None or feature.size != 2 * m - 1 or threshold.shape != (m - 1,) \
+                or not np.all(np.isfinite(threshold)):
             raise ValueError("a tree of m leaves needs 2m - 1 nodes and m - 1 finite thresholds")
-        if histogram.shape != (m, k) or histogram.dtype.kind != "i" or np.any(histogram < 0):
+        if histogram is None or histogram.shape != (m, k) or np.any(histogram < 0):
             raise ValueError(f"tree histogram must be {k} counts >= 0 per leaf")
         # +1 per split and -1 per leaf: one tree's pre-order first sums below 0 at its last node
         if np.any(np.where(feature < 0, -1, 1).cumsum()[:-1] < 0):
             raise ValueError("tree lists are not the pre-order of one tree")
-        return DecisionTree(feature.astype(np.int64), threshold.astype(np.float64),
-                            histogram.astype(np.int64), p, k, TreeConfig.from_dict(d["config"]))
+        return DecisionTree(feature, threshold, histogram, p, k, TreeConfig.from_dict(d["config"]))
 
 
 def fit_tree(ds: Dataset, cfg: TreeConfig = TreeConfig()) -> DecisionTree:

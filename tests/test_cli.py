@@ -168,13 +168,31 @@ class TestModelValidation:
     """Hand-edited models are rejected on load, with exit 2 and a reason."""
 
     @staticmethod
-    def predict_with_edit(model_path, tmp_path, edit):
+    def predict_with_model(model, tmp_path):
+        """Exit code of predicting with the model on iris's four feature columns
+        alone, so that any model that loads exits 0."""
+        path, features = tmp_path / "edited.json", tmp_path / "features.csv"
+        path.write_text(json.dumps(model))
+        features.write_text("".join(",".join(row[:4]) + "\n" for row in read_rows(IRIS)))
+        return run("predict", "--model", str(path), "--data", str(features),
+                   "--out", str(tmp_path / "p.csv"))
+
+    @classmethod
+    def predict_with_edit(cls, model_path, tmp_path, edit):
         model = json.loads(model_path.read_text())
         edit(model)
-        bad = tmp_path / "edited.json"
-        bad.write_text(json.dumps(model))
-        return run("predict", "--model", str(bad), "--data", IRIS,
-                   "--out", str(tmp_path / "p.csv"))
+        return cls.predict_with_model(model, tmp_path)
+
+    def test_unedited_model_predicts(self, iris_model, tmp_path):
+        assert self.predict_with_edit(iris_model, tmp_path, lambda model: None) == 0
+        assert len(read_rows(tmp_path / "p.csv")) == 151
+
+    def test_version_must_be_the_integer_3(self, iris_model, tmp_path, capsys):
+        def edit(model):
+            model["format_version"] = 3.0
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        err = capsys.readouterr().err
+        assert "version 3.0 is not supported" in err and "retrain" in err
 
     def test_version_1_model_asks_for_retraining(self, iris_model, tmp_path, capsys):
         def edit(model):
@@ -195,10 +213,8 @@ class TestModelValidation:
         lambda model: [],
     ], ids=["scalar-means", "top-level-list"])
     def test_malformed_json_exits_2(self, iris_model, tmp_path, capsys, replace):
-        bad = tmp_path / "edited.json"
-        bad.write_text(json.dumps(replace(json.loads(iris_model.read_text()))))
-        assert run("predict", "--model", str(bad), "--data", IRIS,
-                   "--out", str(tmp_path / "p.csv")) == 2
+        model = replace(json.loads(iris_model.read_text()))
+        assert self.predict_with_model(model, tmp_path) == 2
         assert "malformed model" in capsys.readouterr().err
 
     @pytest.mark.parametrize("column", [
@@ -305,6 +321,25 @@ class TestModelValidation:
         def edit(model):
             part, key = path
             model[part][key] = value(model[part][key])
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        err = capsys.readouterr().err
+        assert "malformed model" in err and message in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda model: model["embedding"]["W"][0].__setitem__(0, True), "W must hold numbers"),
+        (lambda model: model["lda"]["log_priors"].__setitem__(0, True),
+         "lda log_priors must hold numbers"),
+        (lambda model: model["embedding"]["trees"][0]["threshold"].__setitem__(0, True),
+         "m - 1 finite thresholds"),
+        (lambda model: model["embedding"]["trees"][0]["histogram"][0].__setitem__(0, False),
+         "tree histogram must be 3 counts"),
+        (lambda model: model["embedding"]["trees"][0]["feature"].__setitem__(0, True),
+         "tree feature must be a list"),
+    ], ids=["true-in-W", "true-in-log_priors", "true-threshold", "false-count",
+            "true-feature"])
+    def test_one_boolean_among_numbers_exits_2(self, iris_model, tmp_path, capsys, edit,
+                                               message):
+        # numpy alone would read the boolean as 1 or 0: the root split's feature as 1
         assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
         err = capsys.readouterr().err
         assert "malformed model" in err and message in err

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dte import (Column, DataError, Dataset, bootstrap, from_arrays, load_csv, save_csv,
-                 stratified_folds)
+from dte import DataError, bootstrap, from_arrays, load_csv, stratified_folds
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -67,23 +66,6 @@ class TestLoadCsv:
         path = write(tmp_path, "x,x,y\n1,2,a\n3,4,b\n")
         with pytest.raises(DataError, match="duplicate column name 'x'"):
             load_csv(path, "y")
-
-    def test_save_rejects_one_hot_group_without_one_active_column(self, tmp_path):
-        schema = (Column("c=a", "onehot", "c", "a"), Column("c=b", "onehot", "c", "b"))
-        ds = Dataset(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1, 2]), schema, ("p", "q"))
-        with pytest.raises(DataError, match="row 1: one-hot group 'c' has 0 active columns"):
-            save_csv(ds, tmp_path / "out.csv")
-
-    def test_round_trip_identical(self, tmp_path):
-        path = write(tmp_path, "num,cat,lab\n1.5,x,a\n-2.25,y,b\n0.125,x,a\n3.0,z,b\n")
-        ds = load_csv(path, "lab")
-        out = tmp_path / "again.csv"
-        save_csv(ds, out)
-        ds2 = load_csv(out, "lab")
-        assert np.array_equal(ds.features, ds2.features)
-        assert np.array_equal(ds.labels, ds2.labels)
-        assert ds.schema == ds2.schema
-        assert ds.label_names == ds2.label_names
 
     @given(values=st.lists(st.sampled_from(["red", "green", "blue", "mauve"]),
                            min_size=2, max_size=30))

@@ -126,8 +126,14 @@ class TestLoadedParts:
         (lambda emb, lda: emb["trees"][0].update(n_features=7), "W's 4 columns"),
         (lambda emb, lda: _widen(emb["trees"][1], 4), "one class count"),
         (lambda emb, lda: [_widen(tree, 4) for tree in emb["trees"]], "LDA class count 3"),
+        (lambda emb, lda: emb["W"][0].__setitem__(0, True), "W must hold numbers"),
+        (lambda emb, lda: lda["log_priors"].__setitem__(0, False),
+         "lda log_priors must hold numbers"),
+        (lambda emb, lda: lda["cov_pinv"][0].__setitem__(0, True), "lda cov_pinv must hold"),
+        (lambda emb, lda: emb["trees"][2]["feature"].__setitem__(0, True), "tree feature"),
     ], ids=["nan-cov_pinv", "short-log_priors", "1d-means", "inf-W", "wide-tree",
-            "trees-disagree", "lda-class-count"])
+            "trees-disagree", "lda-class-count", "bool-W", "bool-log_priors", "bool-cov_pinv",
+            "bool-feature"])
     def test_inconsistent_parts_rejected(self, iris, edit, message):
         clf = fit(iris, TreeConfig(), t=3)
         emb, lda = json.loads(json.dumps([clf.embedding.to_dict(), clf.lda.to_dict()]))

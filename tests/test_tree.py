@@ -351,12 +351,16 @@ class TestSerialization:
         ("feature", [0, -1, -1, -1], "2m - 1 nodes"),
         ("feature", [1, -1, 0, -1, -1], "feature"),
         ("feature", [0.0, -1, 0, -1, -1], "feature"),
+        ("feature", [0, -1, False, -1, -1], "feature"),
         ("feature", [-1, -1, 0, 0, -1], "not the pre-order of one tree"),
         ("threshold", [0.5], "m - 1 finite thresholds"),
         ("threshold", [0.5, float("nan")], "finite thresholds"),
+        ("threshold", [0.5, True], "finite thresholds"),
+        ("threshold", [0.5, None], "finite thresholds"),
         ("histogram", [[1, 0], [0, 1]], "histogram"),
         ("histogram", [[1, 0], [0, -1], [1, 1]], "histogram"),
         ("histogram", [[1, 0], [0, 1.5], [1, 1]], "histogram"),
+        ("histogram", [[1, 0], [0, True], [1, 1]], "histogram"),
         ("histogram", [[1, 0, 0], [0, 1, 0], [1, 1, 0]], "histogram"),
         ("n_features", 1.0, "n_features and n_classes must be integers"),
         ("n_classes", 2.0, "n_features and n_classes must be integers"),
@@ -372,9 +376,10 @@ class TestSerialization:
          "max_depth an integer or null"),
         ("config", {"min_leaf_size": 10, "num_bins": 30, "max_depth": False},
          "max_depth an integer or null"),
-    ], ids=["extra-leaf", "feature-out-of-range", "float-feature", "nodes-left-over",
-            "short-threshold", "nan-threshold", "short-histogram", "negative-count",
-            "float-count", "wide-histogram", "float-n_features", "float-n_classes",
+    ], ids=["extra-leaf", "feature-out-of-range", "float-feature", "bool-feature",
+            "nodes-left-over", "short-threshold", "nan-threshold", "bool-threshold",
+            "null-threshold", "short-histogram", "negative-count", "float-count",
+            "bool-count", "wide-histogram", "float-n_features", "float-n_classes",
             "zero-n_features", "zero-n_classes", "bool-n_features", "string-n_classes",
             "float-config-sizes", "bool-min_leaf_size", "float-max_depth", "bool-max_depth"])
     def test_malformed_lists_rejected(self, key, value, message):
@@ -512,14 +517,18 @@ def reference_from_dict(d: dict) -> tuple:
         raise ValueError("tree n_features and n_classes must be integers >= 1")
     feature, threshold, histogram = (np.asarray(d[key]) for key in
                                      ("feature", "threshold", "histogram"))
-    if feature.ndim != 1 or feature.dtype.kind != "i" or not np.all(
+    # a JSON true or false, which numpy reads as 1 or 0 among numbers
+    has_bool = {key: any(type(x) is bool for x in np.asarray(d[key], dtype=object).ravel())
+                for key in ("feature", "threshold", "histogram")}
+    if feature.ndim != 1 or feature.dtype.kind != "i" or has_bool["feature"] or not np.all(
             (feature >= -1) & (feature < p)):
         raise ValueError(f"tree feature must be a list of -1 or 0..{p - 1}")
     m = int(np.count_nonzero(feature < 0))
-    if feature.size != 2 * m - 1 or threshold.shape != (m - 1,) \
+    if feature.size != 2 * m - 1 or threshold.shape != (m - 1,) or has_bool["threshold"] \
             or threshold.dtype.kind not in "if" or not np.all(np.isfinite(threshold)):
         raise ValueError("a tree of m leaves needs 2m - 1 nodes and m - 1 finite thresholds")
-    if histogram.shape != (m, k) or histogram.dtype.kind != "i" or np.any(histogram < 0):
+    if histogram.shape != (m, k) or histogram.dtype.kind != "i" or has_bool["histogram"] \
+            or np.any(histogram < 0):
         raise ValueError(f"tree histogram must be {k} counts >= 0 per leaf")
     splits, counts = iter(threshold.tolist()[::-1]), iter(histogram[::-1])
     built, leaves = [], []   # subtrees awaiting a parent, the next left child last
@@ -572,7 +581,8 @@ def tree_lists(draw):
     """Tree lists in the model file's layout: the pre-order of a random tree,
     maybe with two entries swapped, the last moved first, one dropped or one
     added, or m leaves and m - 1 splits in random order; then maybe one
-    corrupted feature, threshold, histogram, or feature or class count."""
+    corrupted feature, threshold, histogram, or feature or class count, or one
+    entry replaced by a boolean."""
     p, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     if draw(st.booleans()):
         feature, awaiting = [], 1
@@ -598,7 +608,8 @@ def tree_lists(draw):
                               min_size=max(m - 1, 0), max_size=max(m - 1, 0)))
     histogram = [draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)) for _ in range(m)]
     fault = draw(st.sampled_from(["none"] * 5 + ["feature", "float-feature", "nan", "threshold",
-                                                "count", "float-count", "histogram", "size"]))
+                                                "count", "float-count", "histogram", "size",
+                                                "bool"]))
     if fault == "feature" and feature:
         feature[draw(st.integers(0, len(feature) - 1))] = draw(st.sampled_from([-2, p]))
     elif fault == "float-feature":
@@ -613,6 +624,10 @@ def tree_lists(draw):
         histogram[draw(st.integers(0, m - 1))][0] = 1.5
     elif fault == "histogram":
         histogram = histogram[1:] if histogram and draw(st.booleans()) else histogram + [[0] * k]
+    elif fault == "bool":   # one entry of a list, or of a leaf's counts, made true or false
+        entries = draw(st.sampled_from([feature, threshold, *histogram]))
+        if entries:
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(st.booleans())
     if fault == "size":   # a float or a zero feature or class count
         p, k = draw(st.sampled_from([(float(p), k), (p, float(k)), (0, k), (p, 0)]))
     return {"n_features": p, "n_classes": k, "config": TreeConfig().to_dict(),
