@@ -87,17 +87,23 @@ def _load_model(path):
                         f"(this dte reads version {MODEL_FORMAT_VERSION}); "
                         f"retrain the model with dte train")
     try:
+        seed = model["seed"]
+        if type(seed) is not int or seed < 0:
+            raise ValueError("seed must be an integer >= 0")
         emb = Embedding.from_dict(model["embedding"])
         clf = DteClassifier(emb, LdaModel.from_dict(model["lda"]), emb.trees[0].config,
-                            emb.n_trees, model.get("seed"))
+                            emb.n_trees, seed)
         schema = tuple(Column.from_dict(c) for c in model["schema"])
         if len(schema) != emb.p:
             raise ValueError(f"the schema encodes {len(schema)} features, not W's {emb.p} columns")
+        if len({c.name for c in schema}) != len(schema):
+            raise ValueError("schema column names must be distinct")
         names = model["label_names"]
         if type(model["has_header"]) is not bool or type(model["label_column"]) is not str:
             raise TypeError("has_header must be a bool and label_column a str")
-        if type(names) is not list or list(map(type, names)) != [str] * clf.lda.n_classes:
-            raise ValueError(f"label_names must be a list of {clf.lda.n_classes} strings")
+        if type(names) is not list or list(map(type, names)) != [str] * clf.lda.n_classes \
+                or len(set(names)) != len(names):
+            raise ValueError(f"label_names must be a list of {clf.lda.n_classes} distinct strings")
     except (LookupError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model ({type(exc).__name__}: {exc})") from None
     return model, schema, clf

@@ -126,8 +126,11 @@ def feature_rows(X, p: int) -> np.ndarray:
 
 def json_numbers(values, integers: bool = False) -> np.ndarray | None:
     """A JSON array of numbers (of integers) as a float64 (int64) array, or None when
-    any entry is a string, a null or a boolean (or not an integer)."""
-    a = np.asarray(values)
+    any entry is a string, a null or a boolean (or not an integer), or the array is ragged."""
+    try:
+        a = np.asarray(values)
+    except ValueError:   # numpy's "inhomogeneous shape": lists of unequal lengths
+        return None
     if a.dtype.kind not in ("i" if integers else "if"):
         return None
     if np.any((a == 0) | (a == 1)):   # numpy reads a boolean among numbers as 0 or 1

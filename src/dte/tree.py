@@ -5,7 +5,7 @@ boundaries of an equiprobable binning of that feature's values at the node
 (at most num_bins - 1 of them), and the accepted split is the one with the
 largest Gini impurity decrease, subject to both children holding at least
 min_leaf_size rows and the decrease being strictly positive. Ties go to the
-lowest threshold, then to the lowest feature index. Routing is
+lowest feature index, then to the lowest threshold. Routing is
 x[j] < threshold -> left, else right. A node is a leaf when it holds fewer
 than 2 * min_leaf_size rows, is pure, or sits at max_depth.
 
@@ -25,10 +25,13 @@ child that is already a leaf leaves the lists. Growth records each split and
 each leaf as it makes them, and a leaf writes its node number onto its rows,
 which its segment of the lists names; one walk over the records then lays out
 each tree's pre-order lists (the model file's layout) and numbers its leaves,
-so growth ends knowing each training row's leaf id. The candidates, scores
-and tie-breaks use the same floating-point arithmetic as a search over each
-node's own sorted values, so growing node by node gives the same trees;
-tests/test_tree_golden.py pins them.
+so growth ends knowing each training row's leaf id. The candidates use the
+same floating-point arithmetic as a search over each node's own sorted
+values, and each cell's score is one division of exact integer sums of
+squared class counts, so equal decreases tie exactly and growing node by
+node with exact Gini decreases gives the same trees (provably so at nodes
+under about 2,300 rows, see _best_splits); tests/test_tree_golden.py pins
+them, taken from such a grower (tests/reference_tree.py).
 
 The trees of several samples (the folds of a cross-validation) grow together:
 their roots are just more nodes of each level. Each root's rows are sorted on
@@ -236,7 +239,7 @@ def fit_trees_arrays(X: np.ndarray, y: np.ndarray, samples, n_classes: int,
     sizes = np.array([v.size for v in ys], dtype=np.int64)
     counts = np.array([np.bincount(v, minlength=n_classes) for v in ys],
                       dtype=np.int64).reshape(len(ys), n_classes)
-    gini, searched = _search_runs(sizes, counts, 0, cfg)
+    searched = _search_runs(sizes, counts, 0, cfg)
     per_row = p * max(1.0, (cfg.num_bins - 1) / (2 * cfg.min_leaf_size))  # worst case, per level
     trees, leaves, batches, total = [None] * len(ys), [None] * len(ys), [], np.inf
     for i, (size, runs) in enumerate(zip(sizes.tolist(), searched.tolist())):
@@ -252,7 +255,7 @@ def fit_trees_arrays(X: np.ndarray, y: np.ndarray, samples, n_classes: int,
     ids = np.arange(len(y0))
     for batch in batches:
         rows = np.concatenate([ids[samples[i]] for i in batch])
-        grown = _grow(X, y0, rows, sizes[batch], counts[batch], gini[batch], cfg)
+        grown = _grow(X, y0, rows, sizes[batch], counts[batch], cfg)
         for i, (*lists, leaf) in zip(batch, grown):
             trees[i], leaves[i] = DecisionTree(*lists, p, n_classes, cfg), leaf
     if leaf_ids is not None:
@@ -260,7 +263,7 @@ def fit_trees_arrays(X: np.ndarray, y: np.ndarray, samples, n_classes: int,
     return trees
 
 
-def _grow(X, y0, rows, sizes, counts, gini, cfg):
+def _grow(X, y0, rows, sizes, counts, cfg):
     """Trees grown level by level from roots whose search runs, as _lay_out yields them.
 
     Root r owns the rows rows[sizes[:r].sum():sizes[:r + 1].sum()] of (X, y0).
@@ -278,7 +281,7 @@ def _grow(X, y0, rows, sizes, counts, gini, cfg):
     splits, node_counts, node_at = [], [counts], np.empty(n, dtype=np.int64)
     depth = 0
     while ids.size:
-        feat, thr, left_n, left_counts = _best_splits(col, lists, starts, sizes, counts, gini, cfg)
+        feat, thr, left_n, left_counts = _best_splits(col, lists, starts, sizes, counts, cfg)
         split = (feat >= 0).nonzero()[0]
         stay = (feat < 0).nonzero()[0]
 
@@ -294,7 +297,7 @@ def _grow(X, y0, rows, sizes, counts, gini, cfg):
         child_sizes = np.concatenate([left_n[split], sizes[split] - left_n[split]])
         child_counts = np.concatenate([left_counts[split], counts[split] - left_counts[split]])
         node_counts.append(child_counts)
-        child_gini, keep = _search_runs(child_sizes, child_counts, depth + 1, cfg)
+        keep = _search_runs(child_sizes, child_counts, depth + 1, cfg)
 
         # children that stop, and searched nodes that found no split, become
         # leaves; a segment of the lists names each one's rows (a child's on its
@@ -307,7 +310,7 @@ def _grow(X, y0, rows, sizes, counts, gini, cfg):
 
         # stable partition of every row of `lists` into the kept children's entries
         kept = keep.nonzero()[0]
-        sizes, counts, gini = child_sizes[kept], child_counts[kept], child_gini[kept]
+        sizes, counts = child_sizes[kept], child_counts[kept]
         starts = sizes.cumsum() - sizes
         side = np.zeros(n, dtype=np.int8)  # 1: row goes to a kept left child, 2: kept right
         side[flat[_entries(child_start[kept], sizes)]] = \
@@ -407,35 +410,46 @@ class _Columns:
 
 
 def _search_runs(sizes, counts, depth, cfg):
-    """Gini impurity of each node, and whether its split search runs.
-
-    It does unless the node is too small to hold two leaves, is at the
-    depth cap, or is pure.
-    """
-    gini = 1.0 - ((counts / np.maximum(sizes, 1)[:, None]) ** 2).sum(axis=1)
-    runs = (sizes >= 2 * cfg.min_leaf_size) & (gini != 0.0)
+    """Whether each node's split search runs: it does unless the node is too
+    small to hold two leaves, is at the depth cap, or is pure."""
+    runs = (sizes >= 2 * cfg.min_leaf_size) & (np.count_nonzero(counts, axis=1) > 1)
     if cfg.max_depth is not None and depth >= cfg.max_depth:
         runs[:] = False
-    return gini, runs
+    return runs
 
 
-def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
+def _best_splits(col, lists, starts, sizes, counts, cfg):
     """Best split of every node of one level, searched together.
 
     Returns per node the feature (-1 when no split has a positive Gini
     decrease), the threshold, the left child's size and its class counts.
-    Candidates and scores use the same arithmetic as a per-node search over
-    the node's sorted values sv: boundaries sv[lo] (1 - f) + sv[lo + 1] f of
-    an equiprobable binning at ranks lo + f = i (n - 1) / B, kept when
-    strictly inside (sv[0], sv[-1]) and when both sides hold min_leaf_size
-    rows. The largest decrease wins; ties go to the lowest feature, then to
-    the lowest threshold.
+    Candidates use the same arithmetic as a per-node search over the node's
+    sorted values sv: boundaries sv[lo] (1 - f) + sv[lo + 1] f of an
+    equiprobable binning at ranks lo + f = i (n - 1) / B, kept when strictly
+    inside (sv[0], sv[-1]) and when both sides hold min_leaf_size rows.
+
+    n times a cell's Gini decrease is Lsq / ln + Rsq / rn - Psq / n, where
+    Lsq, Rsq and Psq are the sums of squared class counts of the left child
+    (ln rows), the right child (rn rows) and the node, summed in int64. A
+    cell scores the first two terms as one division, (Lsq rn + Rsq ln) /
+    (ln rn), and the node splits on its best cell when that score beats
+    Psq / n. The largest decrease wins; ties go to the lowest feature, then
+    to the lowest threshold. The numerator's two products are formed as
+    float64, so no node size overflows, and the scores are exact up to the
+    one rounding of the division:
+    - the numerator is an integer of at most n^3 / 4, so every product and
+      sum is exact below 2^53 for nodes under about 3e5 rows, and there
+      equal decreases score equal bits and the tie rule picks among them;
+    - two different scores differ by at least 16 / n^4, so they cannot round
+      to the same float at nodes under about 2,300 rows;
+    - the split-or-leaf test compares numbers at least 4 / n^3 apart, so it
+      is exact under about 11,000 rows.
 
     The candidates stay on one (node, feature, rank) grid of m x p x (B - 1)
     cells through scoring, sorted along the rank axis; a dead cell (outside
     the node's range, or leaving too few rows on a side) scores -inf. Cells
     with equal left sizes on one node and feature have equal class counts,
-    so equal score bits, and argmax's first maximum keeps the lowest of their
+    so equal scores, and argmax's first maximum keeps the lowest of their
     thresholds without a dedupe.
     """
     m, (p, width) = len(sizes), lists.shape
@@ -485,44 +499,32 @@ def _best_splits(col, lists, starts, sizes, counts, gini, cfg):
     np.maximum(left_n, 1, out=left_n)   # a dead cell may hold no row on the left
 
     left = col.class_counts(lists, seg, left_n, k)             # (k, m, p, B-1)
-    score = _gini_decrease(left, left_n.astype(np.float64), sizes, counts, gini)
-    del left_n
+    psq = (counts * counts).sum(axis=1)
+    lsq, rsq = np.zeros((2,) + left_n.shape, dtype=np.int64)   # Lsq; sum_c C_c l_c, then Rsq
+    buf = np.empty(left_n.shape, dtype=np.int64)
+    for c in range(k):
+        lsq += np.multiply(left[c], left[c], out=buf)
+        rsq += np.multiply(left[c], counts[:, c, None, None], out=buf)
+    rsq *= -2
+    rsq += psq[:, None, None]
+    rsq += lsq                                   # Rsq = Psq - 2 sum_c C_c l_c + Lsq
+    rn = np.subtract(sizes[:, None, None], left_n, out=buf)   # a dead cell's may be 0 or below
+    # Lsq rn + Rsq ln: each term is an integer of at most 4 n^3 / 27
+    score = np.multiply(lsq, rn, dtype=np.float64)
+    score += np.multiply(rsq, left_n, dtype=np.float64)
+    den = np.multiply(left_n, rn, out=rn)
+    np.maximum(den, 1, out=den)
+    score /= den
+    del left_n, lsq, rsq, buf
     score[dead] = -np.inf
     score = score.reshape(m, -1)
     best = score.argmax(axis=1)       # first maximum: lowest feature, then lowest threshold
-    wins = score[np.arange(m), best] > 0.0
-    j, r = np.divmod(best, bins - 1)
     v = np.arange(m)
+    wins = score[v, best] > psq / sizes   # a searched node holds rows
+    j, r = np.divmod(best, bins - 1)
     feat = np.where(wins, j, -1)
     chosen = left[:, v, j, r].T
     return feat, cand[v, j, r], chosen.sum(axis=1), chosen
-
-
-def _gini_decrease(left, ln, sizes, counts, gini):
-    """Gini decrease of each grid cell from its class-major left counts and
-    its left size ln (float, overwritten), bit for bit as gini - (ln / n)
-    gini_l - (rn / n) gini_r with gini_x = 1 - sum_c (n_c / n_x)**2. The
-    right counts are formed one class at a time into one reused buffer."""
-    k, nn = len(left), sizes[:, None, None].astype(np.float64)
-    buf = np.empty(ln.shape)
-    impurity = _sum_sq((np.divide(left[c], ln, out=buf if c else None) for c in range(k)), k)
-    np.subtract(1.0, impurity, out=impurity)
-    np.divide(ln, nn, out=buf)
-    buf *= impurity
-    dec = np.subtract(gini[:, None, None], buf, out=impurity)
-    rn = np.subtract(nn, ln, out=ln)
-
-    def right(c):
-        q = np.subtract(counts[:, c, None, None], left[c], out=buf if c else np.empty(ln.shape))
-        q /= rn
-        return q
-
-    impurity = _sum_sq((right(c) for c in range(k)), k)
-    np.subtract(1.0, impurity, out=impurity)
-    np.divide(rn, nn, out=buf)
-    buf *= impurity
-    dec -= buf
-    return dec
 
 
 def _count_below(val, flat, shift, begin, size, c):
@@ -539,24 +541,3 @@ def _count_below(val, flat, shift, begin, size, c):
         probe = np.minimum(pos + step, last)
         pos = np.where(val[flat[probe] + shift] < c, probe, pos)
     return pos + 1 - begin
-
-
-def _sum_sq(parts, k):
-    """Sum of q**2 over the k class arrays q that parts yields in turn, bit
-    for bit as numpy's row sum over a class-last array, (q ** 2).sum(axis=1):
-    class by class below 8 classes (squaring each q in place), else by
-    numpy's own pairwise sum over a class-last copy."""
-    parts = iter(parts)
-    q = next(parts)
-    if k >= 8:
-        rows = np.empty(q.shape + (k,))
-        rows[..., 0] = q
-        for c, term in enumerate(parts, 1):
-            rows[..., c] = term
-        rows *= rows
-        return rows.reshape(-1, k).sum(axis=1).reshape(q.shape)
-    q *= q
-    for term in parts:
-        term *= term
-        q += term
-    return q

@@ -355,6 +355,43 @@ class TestModelValidation:
         err = capsys.readouterr().err
         assert "malformed model" in err and "features, not W's 4 columns" in err
 
+    def test_schema_names_must_be_distinct(self, iris_model, tmp_path, capsys):
+        def edit(model):
+            model["schema"] = [model["schema"][0]] * 4
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        err = capsys.readouterr().err
+        assert "malformed model" in err and "schema column names must be distinct" in err
+
+    def test_label_names_must_be_distinct(self, iris_model, tmp_path, capsys):
+        # two classes would be written as one label
+        def edit(model):
+            model["label_names"] = ["setosa", "setosa", "virginica"]
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        err = capsys.readouterr().err
+        assert "malformed model" in err and "label_names must be a list of 3 distinct" in err
+
+    @pytest.mark.parametrize("seed", [{"value": 42}, "42", -1, 42.0, True],
+                             ids=["object", "string", "negative", "float", "bool"])
+    def test_seed_must_be_an_integer_of_at_least_0(self, iris_model, tmp_path, capsys, seed):
+        def edit(model):
+            model["seed"] = seed
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        err = capsys.readouterr().err
+        assert "malformed model" in err and "seed must be an integer >= 0" in err
+
+    @pytest.mark.parametrize("rows, message", [
+        (lambda model: model["embedding"]["W"], "W must hold numbers"),
+        (lambda model: model["lda"]["cov_pinv"], "lda cov_pinv must hold numbers"),
+        (lambda model: model["embedding"]["trees"][0]["histogram"],
+         "tree histogram must be 3 counts"),
+    ], ids=["W", "cov_pinv", "histogram"])
+    def test_ragged_array_names_its_field(self, iris_model, tmp_path, capsys, rows, message):
+        def edit(model):
+            rows(model)[0].pop()
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        err = capsys.readouterr().err
+        assert "malformed model" in err and message in err
+
     def test_arrays_must_be_finite(self, iris_model, tmp_path, capsys):
         def edit(model):
             model["lda"]["cov_pinv"][0][0] = float("nan")

@@ -44,7 +44,7 @@ def report_digests(case: str) -> dict[str, tuple[str, str]]:
 
 PINS = {
     "breast_cancer-default": {
-        "dte-1": ("679af90c77083f8f3cae8201684c634078d96e829c6d1671847db34fd5a430b3",
+        "dte-1": ("252bf0a2c57e97b8d4b76540c5c7a21368797528a00a19462acfaf9c11e18c09",
             "52e8825bd9ed0400276f11bb3aa90fd1cb021c7591158516843e493a21e53ca4"),
         "dte-3": ("6e4b5db630fa6f74a1c958fce9b57866dee141069be99380ea7c2e49f622fa0a",
             "c6fb56a5fea6b3948610bb3001eb34b137cba19fea4bc325c017a6bf21ad974b"),
@@ -53,17 +53,17 @@ PINS = {
     },
     "breast_cancer-small-leaves": {
         "dte-10": ("5fc984943cbee617269f0fcdbd60bb035157a156bcfe7e85d3f976fc6bb43374",
-            "764cb825064c97d6db9fe9eb11b63b8f77ba63512f08bafacfd06f750f441865"),
-        "tree": ("681408dbf64ce6fe9b556011c35515ed2bae1b298d81836c2a8d10d3dbcfcd90",
-            "c25b231d49cc036f22065e3c6e374e6b30bbfec53b9621abec809a64734c7eda"),
+            "714af7610a2169d6d52b0a266c630a7fdec07db0c1a608e38719ecf4e28c2eb0"),
+        "tree": ("10f84dc4ab5920a1b6dd9a15386afbfdbba2aa7e83278b81d9b67a145d0f9266",
+            "e04c167e2f128bfdc2e18a505f975bf47ba202662fe4c81622d0fcb5e346c4ab"),
     },
     "iris-default": {
         "dte-1": ("00bd794511802c9cbe92b5b084b6a42c20f9c6581815ec3c89dd47bbb1a53c25",
-            "10241c283454f3ab9a4815099aeeaf8bb8b01ae64a9145236e60ea1f6cd1864d"),
+            "49021184b23d54ea1e7fa97e89db9760182713c8ce98b3c182ecdc87ed97ad0a"),
         "dte-3": ("00bd794511802c9cbe92b5b084b6a42c20f9c6581815ec3c89dd47bbb1a53c25",
-            "31361e65628630a805443b23a9468dd465688b5dfd3309c3bc2870a809dba7fc"),
-        "tree": ("d69579732e1e4e5a1affc08f91378b5775ae12b4d8118fff3b95e12618eb1114",
-            "10241c283454f3ab9a4815099aeeaf8bb8b01ae64a9145236e60ea1f6cd1864d"),
+            "6a3afbb921a39332348611a3d0ad24e27b0538df45cb3979c5cc9874d675df90"),
+        "tree": ("be9e20a696ac9f72c734aea4e0e457fa3cdb83ad65804cde15cc37710c2248f6",
+            "49021184b23d54ea1e7fa97e89db9760182713c8ce98b3c182ecdc87ed97ad0a"),
     },
     "wine-default": {
         "dte-1": ("e22234b96f6a47c45ff837734cd807a283b4cca2e5087679c6635a1a1baea76c",
@@ -76,7 +76,7 @@ PINS = {
     "wine-small-leaves": {
         "dte-10": ("e7793619a38e7e65624e2f57ffd4f75f45eceb27afac52359e7fb4182ba63d1b",
             "34ddc316128de237f920e1fb217055794fd845f01d66f47b9dcde90995633a9f"),
-        "tree": ("29fa834dd8a1aa142b2af2c79c625f16a58609cee747af5d0982c02012b6e906",
+        "tree": ("a2ca3eb2409d323a522a5c6018fa812bc9a70234dfe3f38d4e15af2298913c7c",
             "e4259ec2ae9d656ea3b31d3749034db7bd3a0f5bfb4b103447b7d500cb76adb6"),
     },
 }

@@ -4,14 +4,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dte import DecisionTree, TreeConfig, fit_tree, from_arrays, stratified_folds
 from dte import tree as tree_module
 from dte.embed import tree_samples
 from dte.oracle import sample_mixture, three_cluster_spec
-from dte.tree import LeafNode, SplitNode, _sum_sq, fit_tree_arrays, fit_trees_arrays
+from dte.tree import LeafNode, SplitNode, fit_tree_arrays, fit_trees_arrays
+
+from reference_tree import reference_split
 
 
 def gini(hist):
@@ -168,13 +170,6 @@ class TestInvariants:
         assert np.array_equal(np.bincount(ids, minlength=tree.n_leaves),
                               tree.histogram.sum(axis=1))
 
-    @pytest.mark.parametrize("k", range(1, 13))
-    def test_split_gini_sums_keep_numpy_sum_bits(self, k):
-        # values spanning 16 decades, so any other order of the additions shows
-        rng = np.random.default_rng(k)
-        q = rng.random((500, k)) * 10.0 ** rng.integers(-8, 8, size=(500, k))
-        assert np.all(_sum_sq(q.T.copy(), k) == (q ** 2).sum(axis=1))   # class-major
-
     def test_min_leaf_size_respected(self, wine):
         for mls in (1, 5, 10, 25):
             tree = fit_tree(wine, TreeConfig(min_leaf_size=mls))
@@ -233,45 +228,15 @@ class TestInvariants:
         assert np.array_equal(np.bincount(ids, minlength=tree.n_leaves), sizes)
 
 
-def reference_split(x, y0, k, mls, bins):
-    """Scalar reference for one node's split rule: (feature, threshold, left
-    class counts), or None. Per feature, the candidates sv[lo] (1 - f) +
-    sv[lo + 1] f at ranks lo + f = i (n - 1) / bins of the sorted values sv,
-    strictly inside (sv[0], sv[-1]) and leaving mls rows on both sides; the
-    first maximum of the Gini decrease over features, then ascending
-    thresholds, wins if it is positive."""
-    n, counts = len(y0), np.bincount(y0, minlength=k)
-    parent = gini(counts) if n else 0.0
-    if n < 2 * mls or parent == 0.0:
-        return None
-    best = None
-    for j in range(x.shape[1]):
-        order = np.argsort(x[:, j], kind="stable")
-        sv, sy = x[order, j], y0[order]
-        cands = []
-        for i in range(1, bins):
-            pos = i * (n - 1) / bins
-            lo = int(pos)
-            f = pos - lo
-            cands.append(sv[lo] * (1.0 - f) + sv[lo + 1] * f)
-        for c in sorted(set(cands)):   # equal thresholds score alike; -0.0 saves as 0.0
-            nl = int(np.searchsorted(sv, c))
-            if not sv[0] < c < sv[-1] or nl < mls or n - nl < mls:
-                continue
-            left = np.bincount(sy[:nl], minlength=k)
-            dec = parent - (nl / n) * gini(left) - ((n - nl) / n) * gini(counts - left)
-            if best is None or dec > best[0]:
-                best = (dec, j, c + 0.0, left)
-    return best[1:] if best is not None and best[0] > 0.0 else None
-
-
 class TestSplitRuleReference:
-    """Each node of a level gets the split a scalar search over its own sorted
+    """Each node of a level gets the split an exact search over its own sorted
     values picks. Roots grown in one call are the nodes of one level."""
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=11),
            st.integers(min_value=2, max_value=300), st.integers(min_value=1, max_value=5),
            st.integers(min_value=1, max_value=5))
+    # two features' best splits have equal decreases; float rounding once split on the later
+    @example(seed=3, k=3, bins=3, mls=1, roots=2)
     @settings(max_examples=60, deadline=None)
     def test_roots_split_as_the_scalar_reference(self, seed, k, bins, mls, roots):
         # tied columns, ties mixing -0.0 and 0.0, bootstrap duplicates and fold subsets

@@ -3,21 +3,26 @@
 Each case pins the SHA-256 of ``json.dumps(nested(tree.to_dict()))``
 (structure, features, thresholds, histograms) and of the training rows each
 leaf holds (routed by ``apply``; ascending within a leaf, leaves in id
-order). The pins were taken from the per-node reference implementation the
-level-wise grower replaced (``deep-tied`` from the level-wise grower, before
-its tied-candidate search was rewritten), when ``to_dict`` still nested the
-nodes; ``nested`` rebuilds that form from the flat pre-order lists, so the
+order). The pins come from the exact per-node reference grower in
+reference_tree.py, which scores each candidate's Gini decrease as a
+fraction, and not from the level-wise grower they test. ``nested`` rebuilds
+the nested form ``to_dict`` once had from the flat pre-order lists, so the
 pins cover every saved value. Any change to a split, a threshold bit, the
-leaf numbering or a leaf's rows fails here. Regenerate them only for a
-deliberate change of the split rule. Regenerate with:
+leaf numbering or a leaf's rows fails here. Regenerate the pins only for a
+deliberate change of the split rule, with:
 
     PYTHONPATH=src python tests/test_tree_golden.py
+
+and check that the reference still grows the pinned trees with:
+
+    PYTHONPATH=src python tests/test_tree_golden.py --check
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +30,7 @@ import pytest
 
 from dte import TreeConfig, bootstrap, load_csv
 from dte.tree import fit_tree_arrays
+from reference_tree import reference_tree
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 BUNDLED = (("iris", "species"), ("wine", "cultivar"), ("breast_cancer", "diagnosis"))
@@ -103,7 +109,7 @@ def _missing_class():
 
 
 def _many_classes():
-    """Ten classes, so per-class sums run over more than eight terms."""
+    """Ten classes, more than one int64 word of packed class counts holds."""
     rng = np.random.default_rng(99)
     means = rng.normal(scale=2.0, size=(10, 5))
     y = rng.integers(0, 10, size=2_000)
@@ -161,10 +167,10 @@ def tree_digests(tree, X) -> tuple[str, str]:
     return hashlib.sha256(text).hexdigest(), hashlib.sha256(rows.tobytes()).hexdigest()
 
 
-def _fit(name):
+def _fit(name, grow=fit_tree_arrays):
     make, (min_leaf, bins, depth) = CASES[name]
     X, y, k = make()
-    return fit_tree_arrays(X, y, k, TreeConfig(min_leaf, bins, depth)), X
+    return grow(X, y, k, TreeConfig(min_leaf, bins, depth)), X
 
 
 PINS = {
@@ -188,12 +194,12 @@ PINS = {
         "15816d436d5c3a59b5b6634bfedada9582de166a6459a2b7558d20d2887c2ae9"),  # 27 leaves
     "constant-column": ("96bfed6075dff291cccfde7bb2532c4866e28350488e565153b66d8e6cccf606",
         "65b952dbb79aa32a87e3132366b55075a1fb78d78ff9bdd703d9264e15156215"),  # 7 leaves
-    "deep-mixture": ("440db83f076fb218e3d520ff8065863e9b49024a1e999d00b33012020d01e0ee",
-        "e10c7d086763cfe6127712d04279c8e4fee38860760ea25e989da828c477e44a"),  # 522 leaves
-    "deep-tied": ("60b14cb495f068d21f9a1216e51dd57116236db6e1df519730412160ac9a5e39",
-        "dd11d69b28dc29689a0b368ba80a2d2db091e7a8f14cf3b2c782188d15179992"),  # 612 leaves
-    "deep-tied/2-100-None": ("d64dd65b43ad5bd88d4465f20180feb9942036d7e5124ff236556ef2883689e7",
-        "fac272de4b888ba59a03473bc2d28511e964dd391dd2f1804c0d230fd173bb3a"),  # 611 leaves
+    "deep-mixture": ("59c4410d42c2dd870c4c805b8a0d5524a85604da2e15b6aa416c5d34e9bfd199",
+        "8c58d7e97232f5ab9b8e215067357c0b5d9bc0421c928cad7c6d6d384fe9cc8f"),  # 521 leaves
+    "deep-tied": ("e573880aa7d8eabe3fa28a58f71463c1fefc10fd374bc13fe886bb03883c4c36",
+        "6c0ed7156c7a7ae8d761cce79483990695ee5fb0fc086f46eb5a2ba2708a98f2"),  # 612 leaves
+    "deep-tied/2-100-None": ("0a0ff297a7736c3ff33e13a56e392588a8d4eb3ee48e2c4f8fc665c889255b1c",
+        "ace53932a6057378c10cd8e2668ba1feaa9361fdf2783bc8242a5df3ba8b970e"),  # 611 leaves
     "iris-bootstrap/1-2-None": ("916c27ac6c33c5a01f8fcda1967256d46e9ce75bff72583c9c24c720beff1812",
         "1ca72a8c3b6b21eac3c60f3f953db652f80263b040b191deeaa0fe69b38c9157"),  # 18 leaves
     "iris-bootstrap/10-30-3": ("78dd37682de8d69a97dc612cc086f25cf3439e437128e85d867c1fdf23b36ebe",
@@ -212,7 +218,7 @@ PINS = {
         "aa93f9f9db0c3e04518f7c73cc57537d3294aac0aa3dd0a328197d4beb69e268"),  # 6 leaves
     "iris/2-7-None": ("aaa755c8b098b17dc137a2605cdfae4e5c9dcf8f346801ac02fe5f82d63f8037",
         "51176b65149cda8aaa5ef477424bf27d4e6a80b8f42c466cbf82b7a761cd4d39"),  # 11 leaves
-    "many-classes": ("66a86fec692a336f551e2fe3fe56b7dde66249322bfff9c3de270d29f1f4b4e7",
+    "many-classes": ("c3ad342a13d8ba994f66a7c2c7b7689868a4d34cf1da7109edd7a45954b201c5",
         "a6836983710442128d5e792199bb7264e8e2b1745eaafe1ad18a18980123c1ea"),  # 148 leaves
     "max-depth-0": ("81ead4ae40792384eefcbc88a07323050045f7ea10eb6c89b1a5f2491ee57134",
         "cfe9ef49abc35a06b2e2eea71e8b6a3f9b7874159db5c2b63e734cfee3cec739"),  # 1 leaves
@@ -251,7 +257,14 @@ def test_tree_matches_golden_digests(name):
 
 
 if __name__ == "__main__":
+    check, wrong = "--check" in sys.argv[1:], []
     for case in sorted(CASES):
-        tree, X = _fit(case)
-        json_digest, rows_digest = tree_digests(tree, X)
-        print(f'    "{case}": ("{json_digest}",\n{" " * 8}"{rows_digest}"),  # {tree.n_leaves} leaves')
+        tree, X = _fit(case, reference_tree)
+        digests = tree_digests(tree, X)
+        if not check:
+            print(f'    "{case}": ("{digests[0]}",\n{" " * 8}"{digests[1]}"),  # {tree.n_leaves} leaves')
+        elif digests != PINS[case]:
+            wrong.append(case)
+    if check:
+        print(f"{len(CASES) - len(wrong)} of {len(CASES)} reference trees equal their pins")
+        sys.exit(f"the reference grows other trees than the pins of {wrong}" if wrong else 0)
