@@ -10,7 +10,7 @@ import csv
 
 import numpy as np
 
-from dte import TreeConfig, timing_sweep
+from dte import timing_sweep
 from dte.oracle import GaussianMixtureSpec, sample_mixture
 
 
@@ -31,8 +31,8 @@ def main():
         np.full(args.classes, 1.0 / args.classes))
 
     sizes = [int(s) for s in args.sizes.split(",")]
-    rows = timing_sweep(lambda n: sample_mixture(spec, n, [args.seed, n]),
-                        sizes, cfg=TreeConfig(), t=args.trees)
+    rows = timing_sweep(lambda n: sample_mixture(spec, n, [args.seed, n]), sizes,
+                        t=args.trees)
 
     print(f"{'n':>9}{'train s':>10}{'test s':>9}{'m':>5}{'ratio':>7}")
     prev = None

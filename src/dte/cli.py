@@ -78,7 +78,10 @@ def cmd_train(args) -> int:
 
 def _load_model(path):
     with open(path, encoding="utf-8") as fh:
-        model = json.load(fh)
+        try:
+            model = json.load(fh)
+        except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, or nested too deep
+            raise DataError(f"{path}: malformed model ({type(exc).__name__}: {exc})") from None
     if not isinstance(model, dict):
         raise DataError(f"{path}: malformed model (the top level is not a JSON object)")
     version = model.get("format_version")

@@ -146,12 +146,17 @@ def _read(path, has_header: bool) -> tuple[list[str] | None, list[str], np.ndarr
     """The header (None without one or in an empty file), the data cells in row
     order and each data row's field count; no list of rows is ever held."""
     cells, lengths = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None) if has_header else None
-        for row in rows:
-            cells += row
-            lengths.append(len(row))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = csv.reader(fh)
+            header = next(rows, None) if has_header else None
+            for row in rows:
+                cells += row
+                lengths.append(len(row))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:   # a field longer than csv.field_size_limit()
+        raise DataError(f"{path}: line {rows.line_num}: {exc}") from None
     return header, cells, np.array(lengths, dtype=np.intp)
 
 

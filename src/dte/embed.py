@@ -79,18 +79,19 @@ class Embedding:
 def _leaf_means(X: np.ndarray, leaf: np.ndarray, n_leaves: int) -> np.ndarray:
     """The mean of the rows of X in each of n_leaves leaves, row i lying in leaf[i].
 
-    Each leaf's sum starts at 0.0 and adds its rows in ascending order, as
-    numpy's X[rows].mean(axis=0) does for two or more columns, so those
-    means are equal bit for bit (numpy sums a single column pairwise).
+    One bincount sums every (leaf, column) cell; each cell's sum starts at 0.0
+    and adds its rows in ascending order, as numpy's X[rows].mean(axis=0) does
+    for two or more columns, so those means are equal bit for bit (numpy sums
+    a single column pairwise).
     """
     counts = np.bincount(leaf, minlength=n_leaves)
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise ValueError(f"leaf {empty[0]} received no rows; was the tree fitted on this data?")
-    sums = np.empty((n_leaves, X.shape[1]))
-    for j in range(X.shape[1]):
-        sums[:, j] = np.bincount(leaf, weights=X[:, j], minlength=n_leaves)
-    return sums / counts[:, None]
+    p = X.shape[1]
+    cells = (leaf[:, None] * p + np.arange(p)).ravel()
+    sums = np.bincount(cells, weights=X.ravel(), minlength=n_leaves * p)
+    return sums.reshape(n_leaves, p) / counts[:, None]
 
 
 def anchor_intercept(anchors: np.ndarray) -> np.ndarray:

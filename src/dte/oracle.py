@@ -9,8 +9,9 @@ weighted sums. Two facts are verified per instance:
     (L1) within every region, then conditioning on the embedding instead of
     the input moves the conditional by at most eps, exactly 0 when eps = 0;
   * indicator-rule error: when every support point is nearest (in Euclidean
-    norm) to its own region's mean, classifying by the largest embedding
-    coordinate among each class's regions errs with probability
+    norm) to its own region's mean, classifying by the majority class of the
+    region with the largest embedding coordinate, which is the nearest
+    mean's region, errs with probability
     sum_j P(region j) * (1 - max_c P(Y=c | region j)).
 
 The module also hosts the Gaussian-mixture generators used by the
@@ -79,15 +80,21 @@ class Partition:
     def n_regions(self) -> int:
         return int(self.regions.max()) + 1
 
-    def members(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.regions == j)
+
+def _region_members(joint: DiscreteJoint, part: Partition) -> list[np.ndarray]:
+    """The support point ids of each region; the partition must assign every point."""
+    if part.regions.size != joint.n_points:
+        raise ValueError(f"the partition assigns {part.regions.size} points, "
+                         f"but the joint has {joint.n_points} support points")
+    return [np.flatnonzero(part.regions == j) for j in range(part.n_regions)]
 
 
 def epsilon_homogeneity(joint: DiscreteJoint, part: Partition):
     """Max within-region L1 spread of P(Y|X): per-region values and the max."""
-    eps = np.zeros(part.n_regions)
-    for j in range(part.n_regions):
-        rows = joint.conditionals[part.members(j)]
+    members = _region_members(joint, part)
+    eps = np.zeros(len(members))
+    for j, idx in enumerate(members):
+        rows = joint.conditionals[idx]
         if rows.shape[0] > 1:
             spread = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
             eps[j] = float(spread.max())
@@ -96,27 +103,21 @@ def epsilon_homogeneity(joint: DiscreteJoint, part: Partition):
 
 @dataclass(frozen=True)
 class PopulationEmbedding:
-    anchors: np.ndarray    # (m, p) region means E[X | region]
-    intercept: np.ndarray  # (m,) -||anchor||^2 / 2
-    values: np.ndarray     # (N, m) embedding of every support point
-    masses: np.ndarray     # (m,) P(X in region)
+    anchors: np.ndarray  # (m, p) region means E[X | region]
+    values: np.ndarray   # (N, m) embedding of every support point
+    masses: np.ndarray   # (m,) P(X in region)
 
 
 def population_embedding(joint: DiscreteJoint, part: Partition) -> PopulationEmbedding:
     """Exact region-mean anchors and per-point embedding values."""
-    m = part.n_regions
-    anchors = np.empty((m, joint.points.shape[1]))
-    masses = np.empty(m)
-    for j in range(m):
-        idx = part.members(j)
-        mass = joint.weights[idx].sum()
-        if mass <= 0.0:
-            raise ValueError(f"region {j} has zero probability mass")
-        masses[j] = mass
-        anchors[j] = (joint.weights[idx, None] * joint.points[idx]).sum(axis=0) / mass
-    intercept = anchor_intercept(anchors)
-    values = joint.points @ anchors.T + intercept
-    return PopulationEmbedding(anchors, intercept, values, masses)
+    members = _region_members(joint, part)
+    anchors = np.empty((len(members), joint.points.shape[1]))
+    masses = np.empty(len(members))
+    for j, idx in enumerate(members):
+        masses[j] = joint.weights[idx].sum()
+        anchors[j] = (joint.weights[idx, None] * joint.points[idx]).sum(axis=0) / masses[j]
+    values = joint.points @ anchors.T + anchor_intercept(anchors)
+    return PopulationEmbedding(anchors, values, masses)
 
 
 def region_posteriors(joint: DiscreteJoint, part: Partition) -> np.ndarray:
@@ -125,9 +126,9 @@ def region_posteriors(joint: DiscreteJoint, part: Partition) -> np.ndarray:
     When every member row is identical the common row is returned as-is,
     keeping the homogeneous case exact in floating point.
     """
-    out = np.empty((part.n_regions, joint.n_classes))
-    for j in range(part.n_regions):
-        idx = part.members(j)
+    members = _region_members(joint, part)
+    out = np.empty((len(members), joint.n_classes))
+    for j, idx in enumerate(members):
         rows = joint.conditionals[idx]
         if np.all(rows == rows[0]):
             out[j] = rows[0]
@@ -141,53 +142,32 @@ class SufficiencyReport:
     epsilon: float
     deviation: float   # max_i || P(Y|X=x_i) - P(Y | region(x_i)) ||_1
     bound_ok: bool
-    epsilon_by_region: np.ndarray
 
 
 def check_sufficiency(joint: DiscreteJoint, part: Partition) -> SufficiencyReport:
     """Conditioning on the embedding moves P(Y|X) by at most the homogeneity eps."""
-    eps_regions, eps = epsilon_homogeneity(joint, part)
+    _, eps = epsilon_homogeneity(joint, part)
     post = region_posteriors(joint, part)
     deviation = float(np.abs(joint.conditionals - post[part.regions]).sum(axis=1).max())
-    return SufficiencyReport(eps, deviation, deviation <= eps + 1e-12, eps_regions)
-
-
-@dataclass(frozen=True)
-class IndicatorRule:
-    """Classify an embedding by its largest coordinate within each class's regions.
-
-    region_classes[j] is the majority class id of region j (ties to the
-    smallest id); the class score of z is max over that class's coordinates,
-    -inf for classes owning no region.
-    """
-
-    region_classes: np.ndarray  # (m,) class ids 1..K
-    n_classes: int
-
-    def class_regions(self, c: int) -> np.ndarray:
-        return np.flatnonzero(self.region_classes == c)
-
-    def classify(self, Z) -> np.ndarray:
-        Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-        owned = self.region_classes[None, :] == np.arange(1, self.n_classes + 1)[:, None]
-        scores = np.where(owned[None, :, :], Z[:, None, :], -np.inf).max(axis=2)
-        return np.argmax(scores, axis=1).astype(np.int64) + 1
+    return SufficiencyReport(eps, deviation, deviation <= eps + 1e-12)
 
 
 @dataclass(frozen=True)
 class IndicatorErrorReport:
-    hypothesis_ok: bool        # every point nearest its own region mean
-    error_classified: float    # error of the indicator rule, point by point
-    error_formula: float       # sum_j P(region j) * impurity_j
-    region_classes: np.ndarray
-    agree: bool                # |classified - formula| <= 1e-12
+    hypothesis_ok: bool          # every point nearest its own region mean
+    error_classified: float      # error of the indicator rule, point by point
+    error_formula: float         # sum_j P(region j) * impurity_j
+    region_classes: np.ndarray   # (m,) each region's majority class id, ties to the smallest
 
 
 def check_indicator_error(joint: DiscreteJoint, part: Partition) -> IndicatorErrorReport:
     """Compare the indicator rule's exact error against the impurity formula.
 
-    The two agree whenever the nearest-own-mean hypothesis holds; when it
-    does not, both numbers are still reported for diagnosis.
+    The rule gives each region's coordinate its majority class and classifies
+    a point by its largest coordinate, the nearest mean's region; regions of
+    different classes tied at the largest give the smallest class. The two
+    errors agree whenever the nearest-own-mean hypothesis holds; when it does
+    not, both numbers are still reported for diagnosis.
     """
     pe = population_embedding(joint, part)
     # hypothesis check by direct squared distances, independent of the Z path
@@ -195,16 +175,15 @@ def check_indicator_error(joint: DiscreteJoint, part: Partition) -> IndicatorErr
     hypothesis_ok = bool(np.all(np.argmin(d2, axis=1) == part.regions))
 
     post = region_posteriors(joint, part)
-    rule = IndicatorRule(np.argmax(post, axis=1).astype(np.int64) + 1, joint.n_classes)
-    preds = rule.classify(pe.values)
+    region_classes = np.argmax(post, axis=1).astype(np.int64) + 1
+    top = pe.values == pe.values.max(axis=1, keepdims=True)
+    preds = np.where(top, region_classes, joint.n_classes).min(axis=1)
     per_point = 1.0 - joint.conditionals[np.arange(joint.n_points), preds - 1]
     error_classified = float((joint.weights * per_point).sum())
 
     impurity = 1.0 - post.max(axis=1)
     error_formula = float((pe.masses * impurity).sum())
-    agree = abs(error_classified - error_formula) <= 1e-12
-    return IndicatorErrorReport(hypothesis_ok, error_classified, error_formula,
-                                rule.region_classes, agree)
+    return IndicatorErrorReport(hypothesis_ok, error_classified, error_formula, region_classes)
 
 
 def verify_instance(joint: DiscreteJoint, part: Partition, instance_seed=None) -> dict:
@@ -225,80 +204,84 @@ def verify_instance(joint: DiscreteJoint, part: Partition, instance_seed=None) -
 # ---------------------------------------------------------------------------
 # instance generators
 
+# every random instance: 20 support points in the plane, 3 regions, 3 classes
+_N_POINTS, _N_REGIONS, _N_CLASSES, _DIM = 20, 3, 3, 2
 
-def random_discrete_instance(seed, n_points=20, n_regions=3, n_classes=3, dim=2,
-                             homogeneous=False):
+
+def _random_support(rng: np.random.Generator):
+    """Standard normal support points and positive weights summing to 1."""
+    points = rng.normal(size=(_N_POINTS, _DIM))
+    weights = rng.uniform(0.2, 1.0, size=_N_POINTS)
+    return points, weights / weights.sum()
+
+
+def random_discrete_instance(seed, homogeneous=False):
     """Random discrete joint plus an arbitrary nonempty partition.
 
     With homogeneous=True all points of a region share one conditional row
     (the eps = 0 case).
     """
     rng = np.random.default_rng(seed)
-    points = rng.normal(size=(n_points, dim))
-    weights = rng.uniform(0.2, 1.0, size=n_points)
-    weights = weights / weights.sum()
-    base = np.concatenate([np.arange(n_regions),
-                           rng.integers(0, n_regions, size=n_points - n_regions)])
+    points, weights = _random_support(rng)
+    base = np.concatenate([np.arange(_N_REGIONS),
+                           rng.integers(0, _N_REGIONS, size=_N_POINTS - _N_REGIONS)])
     regions = rng.permutation(base)
     if homogeneous:
-        per_region = rng.dirichlet(np.ones(n_classes), size=n_regions)
+        per_region = rng.dirichlet(np.ones(_N_CLASSES), size=_N_REGIONS)
         cond = per_region[regions]
     else:
-        cond = rng.dirichlet(np.ones(n_classes), size=n_points)
+        cond = rng.dirichlet(np.ones(_N_CLASSES), size=_N_POINTS)
     return DiscreteJoint(points, weights, cond), Partition(regions)
 
 
-def nearest_mean_instance(seed, n_points=20, n_regions=3, n_classes=3, dim=2,
-                          pure=False, max_attempts=50):
+def nearest_mean_instance(seed, pure=False):
     """Instance whose partition is a fixed point of weighted nearest-mean
-    assignment, so every point is nearest its own region mean.
+    assignment, so every point is nearest its own region mean. Up to 50
+    random starts are tried.
 
     With pure=True each region's points share a one-hot conditional row.
     """
     rng = np.random.default_rng(seed)
-    points = rng.normal(size=(n_points, dim))
-    weights = rng.uniform(0.2, 1.0, size=n_points)
-    weights = weights / weights.sum()
+    points, weights = _random_support(rng)
 
-    regions = None
-    for _ in range(max_attempts):
-        anchors = points[rng.choice(n_points, size=n_regions, replace=False)]
+    for _ in range(50):
+        anchors = points[rng.choice(_N_POINTS, size=_N_REGIONS, replace=False)]
         assign = None
         for _ in range(200):
             d2 = ((points[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
             new_assign = np.argmin(d2, axis=1)
-            if np.any(np.bincount(new_assign, minlength=n_regions) == 0):
+            if np.any(np.bincount(new_assign, minlength=_N_REGIONS) == 0):
                 assign = None
                 break
             if assign is not None and np.array_equal(new_assign, assign):
                 break
             assign = new_assign
-            for j in range(n_regions):
+            for j in range(_N_REGIONS):
                 idx = np.flatnonzero(assign == j)
                 anchors[j] = (weights[idx, None] * points[idx]).sum(axis=0) / weights[idx].sum()
         if assign is not None:
-            regions = assign
             break
-    if regions is None:
+    else:
         raise RuntimeError("nearest-mean partition did not stabilize; try another seed")
+    regions = assign
 
     if pure:
-        region_class = rng.integers(1, n_classes + 1, size=n_regions)
-        cond = np.zeros((n_points, n_classes))
-        cond[np.arange(n_points), region_class[regions] - 1] = 1.0
+        region_class = rng.integers(1, _N_CLASSES + 1, size=_N_REGIONS)
+        cond = np.zeros((_N_POINTS, _N_CLASSES))
+        cond[np.arange(_N_POINTS), region_class[regions] - 1] = 1.0
     else:
-        cond = rng.dirichlet(np.ones(n_classes), size=n_points)
+        cond = rng.dirichlet(np.ones(_N_CLASSES), size=_N_POINTS)
     return DiscreteJoint(points, weights, cond), Partition(regions)
 
 
-def two_class_interval_joint(n_grid: int = 10_000) -> DiscreteJoint:
-    """Uniform grid discretization of two unit-interval classes on [-1, 1].
+def two_class_interval_joint() -> DiscreteJoint:
+    """Uniform 10,000-cell grid discretization of two unit-interval classes on [-1, 1].
 
     Class 1 is uniform on [-1, 0], class 2 on [0, 1], equal priors; cell
     centers never sit at 0, so conditionals are one-hot by sign.
     """
-    h = 2.0 / n_grid
-    centers = -1.0 + (np.arange(n_grid) + 0.5) * h
+    n_grid = 10_000
+    centers = -1.0 + (np.arange(n_grid) + 0.5) * (2.0 / n_grid)
     weights = np.full(n_grid, 1.0 / n_grid)
     cond = np.zeros((n_grid, 2))
     cond[centers < 0, 0] = 1.0
@@ -306,9 +289,9 @@ def two_class_interval_joint(n_grid: int = 10_000) -> DiscreteJoint:
     return DiscreteJoint(centers[:, None], weights, cond)
 
 
-def threshold_partition(joint: DiscreteJoint, threshold: float, feature: int = 0) -> Partition:
-    """Two regions split by x[feature] < threshold (region 0) vs >= (region 1)."""
-    return Partition((joint.points[:, feature] >= threshold).astype(np.int64))
+def threshold_partition(joint: DiscreteJoint, threshold: float) -> Partition:
+    """Two regions split by x[0] < threshold (region 0) vs >= (region 1)."""
+    return Partition((joint.points[:, 0] >= threshold).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +371,9 @@ def sample_mixture(spec: GaussianMixtureSpec, n: int, seed, return_components=Fa
     from .data import from_arrays
 
     X, labels, components = _draw(spec, n, np.random.default_rng(seed))
-    ds = from_arrays(X, labels)
-    if ds.n_classes != spec.n_classes:
+    if np.unique(labels).size != spec.n_classes:
         raise ValueError(f"sample of size {n} missed a class; increase n")
+    ds = from_arrays(X, labels)
     return (ds, components) if return_components else ds
 
 

@@ -207,9 +207,9 @@ def cross_validate(ds: Dataset, methods: Sequence[str], replicates: int = 10,
             for i, name in enumerate(methods)]
 
 
-def timing_sweep(generator: Callable[[int], Dataset], sizes: Sequence[int],
-                 cfg: TreeConfig = TreeConfig(), t: int = 1, seed: int = 0):
-    """Fit-and-predict wall times for ascending synthetic sample sizes.
+def timing_sweep(generator: Callable[[int], Dataset], sizes: Sequence[int], t: int = 1):
+    """Fit-and-predict wall times for ascending synthetic sample sizes, at the
+    default TreeConfig and seed 0.
 
     Returns one dict per size: {n, train_seconds, test_seconds, m}.
     """
@@ -220,7 +220,7 @@ def timing_sweep(generator: Callable[[int], Dataset], sizes: Sequence[int],
     for n in sizes:
         ds = generator(n)
         t0 = time.perf_counter()
-        clf = fit(ds, cfg, t, seed)
+        clf = fit(ds, TreeConfig(), t, 0)
         t1 = time.perf_counter()
         predict(clf, ds.features)
         t2 = time.perf_counter()

@@ -217,6 +217,19 @@ class TestModelValidation:
         assert self.predict_with_model(model, tmp_path) == 2
         assert "malformed model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, reason", [
+        ("not json", "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+        ("[" * 100_000 + "]" * 100_000, "RecursionError: maximum recursion depth exceeded"),
+    ], ids=["not-json", "nested-too-deep"])
+    def test_model_that_is_not_json_exits_2_naming_the_file(self, tmp_path, capsys, text,
+                                                           reason):
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        assert run("predict", "--model", str(path), "--data", IRIS,
+                   "--out", str(tmp_path / "p.csv")) == 2
+        # the recursion message goes on to name what was being decoded
+        assert capsys.readouterr().err.startswith(f"error: {path}: malformed model ({reason}")
+
     @pytest.mark.parametrize("column", [
         {"name": "sepal_length", "kind": "weird"},
         {"name": "sepal_length", "kind": "onehot", "source": "sepal_length", "category": 5.1},
@@ -474,6 +487,11 @@ class TestSimulate:
                    "--out", str(out)) == 0
         assert [rec["m"] for rec in json.loads(out.read_text())["runs"]] == [1, 1, 1]
 
+    def test_sample_missing_a_class_exits_2(self, tmp_path, capsys):
+        assert run("simulate", "--n", "3", "--n-test", "3", "--seed", "42",
+                   "--out", str(tmp_path / "report.json")) == 2
+        assert capsys.readouterr().err == "error: sample of size 3 missed a class; increase n\n"
+
     def test_default_run_emits_report_and_dump(self, tmp_path):
         out = tmp_path / "report.json"
         dump = tmp_path / "embedding.csv"
@@ -552,6 +570,18 @@ class TestUsage:
         assert exc.value.code == 2
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_csv_that_is_not_utf8_exits_2_naming_the_file(self, iris_model, tmp_path, capsys,
+                                                         command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"x,y\n1\xff,a\n2,b\n")
+        argv = (["train", "--label", "y"] if command == "train" else
+                ["predict", "--model", str(iris_model)])
+        assert run(*argv, "--data", str(bad), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in "
+            f"position 5: invalid start byte)\n")
 
     def test_unreadable_file_exits_2(self, tmp_path):
         assert run("train", "--data", str(tmp_path / "nope.csv"),

@@ -86,6 +86,8 @@ LOAD_ERRORS = {
                  "<path>: line 2: non-finite value '1e999' in column 'x'"),
     "non-finite-two-columns": ("a,b,y\n1,-inf,p\nnan,2,q\n", "y", True,
                                "<path>: line 3: non-finite value 'nan' in column 'a'"),
+    "field-over-size-limit": ("x,y\n1,a\n2," + "b" * 140_000 + "\n", "y", True,
+                              "<path>: line 3: field larger than field limit (131072)"),
 }
 
 

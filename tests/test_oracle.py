@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from dte.oracle import (DiscreteJoint, GaussianMixtureSpec, IndicatorRule,
-                        Partition, bayes_accuracy, check_indicator_error,
+from dte.oracle import (DiscreteJoint, GaussianMixtureSpec, Partition, bayes_accuracy, check_indicator_error,
                         check_sufficiency, epsilon_homogeneity,
                         nearest_mean_instance, oracle_embedding,
                         population_embedding, random_discrete_instance,
@@ -139,16 +138,59 @@ class TestIndicatorError:
                           & (rep.region_classes <= joint.n_classes))
 
 
+def per_class_max_error(joint, part):
+    """The indicator rule's error as the rule was first stated: each class scores
+    the largest coordinate among its majority regions (-inf when it has none),
+    and the best score wins, ties to the smallest class id."""
+    z = population_embedding(joint, part).values
+    region_classes = np.argmax(region_posteriors(joint, part), axis=1) + 1
+    owned = region_classes[None, :] == np.arange(1, joint.n_classes + 1)[:, None]
+    scores = np.where(owned[None, :, :], z[:, None, :], -np.inf).max(axis=2)
+    preds = np.argmax(scores, axis=1) + 1
+    return float((joint.weights * (1.0 - joint.conditionals[np.arange(joint.n_points),
+                                                             preds - 1])).sum())
+
+
 class TestIndicatorRule:
+    """check_indicator_error classifies by the class of the largest coordinate;
+    it must err exactly as the per-class maximum rule does."""
+
     def test_classifies_by_largest_owned_coordinate(self):
-        rule = IndicatorRule(np.array([1, 2, 1]), 2)
-        assert rule.class_regions(1).tolist() == [0, 2]
-        z = np.array([[3.0, 5.0, 1.0], [2.0, -1.0, 4.0]])
-        assert rule.classify(z).tolist() == [2, 1]
+        # regions 0 and 2 lean to class 1, region 1 to class 2; each point is
+        # classified by its own region, so the error is the mean impurity
+        j = tiny_joint([[0.0], [5.0], [10.0]], [0.2, 0.5, 0.3],
+                       [[0.9, 0.1], [0.3, 0.7], [0.6, 0.4]])
+        rep = check_indicator_error(j, Partition([0, 1, 2]))
+        assert rep.region_classes.tolist() == [1, 2, 1]
+        assert rep.error_classified == pytest.approx(0.2 * 0.1 + 0.5 * 0.3 + 0.3 * 0.4,
+                                                     abs=1e-15)
+        assert rep.error_classified == per_class_max_error(j, Partition([0, 1, 2]))
 
     def test_class_without_regions_never_wins(self):
-        rule = IndicatorRule(np.array([2, 2]), 2)
-        assert rule.classify(np.array([[-100.0, -100.0]])).tolist() == [2]
+        j = tiny_joint([[0.0], [10.0]], [0.5, 0.5], [[0.4, 0.6], [0.3, 0.7]])
+        rep = check_indicator_error(j, Partition([0, 1]))
+        assert rep.region_classes.tolist() == [2, 2]
+        assert rep.error_classified == pytest.approx(0.5 * 0.4 + 0.5 * 0.3, abs=1e-15)
+        assert rep.error_classified == per_class_max_error(j, Partition([0, 1]))
+
+    def test_tied_coordinates_of_two_classes_give_the_smaller_class(self):
+        # both regions have mean 0, so every coordinate is 0: region 0 (class 2)
+        # and region 1 (class 1) tie at every point and class 1 must win
+        j = tiny_joint([[-2.0], [2.0], [-1.0], [1.0]], [0.2, 0.2, 0.3, 0.3],
+                       [[0, 1], [0, 1], [1, 0], [1, 0]])
+        part = Partition([0, 0, 1, 1])
+        assert np.array_equal(population_embedding(j, part).anchors, [[0.0], [0.0]])
+        rep = check_indicator_error(j, part)
+        assert rep.region_classes.tolist() == [2, 1]
+        assert rep.error_classified == pytest.approx(0.4, abs=1e-15)  # P(Y = 2)
+        assert rep.error_classified == per_class_max_error(j, part)
+
+    def test_equals_the_per_class_maximum_rule_on_random_instances(self):
+        for i in range(100):
+            for joint, part in (random_discrete_instance(i),
+                                nearest_mean_instance(i, pure=(i % 2 == 0))):
+                rep = check_indicator_error(joint, part)
+                assert rep.error_classified == per_class_max_error(joint, part)
 
 
 class TestVerifyInstance:
@@ -173,6 +215,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonempty|at least one"):
             Partition([0, 0, 2])
 
+    @pytest.mark.parametrize("check", [epsilon_homogeneity, population_embedding,
+                                       region_posteriors, check_sufficiency,
+                                       check_indicator_error])
+    @pytest.mark.parametrize("size", [10, 40])
+    def test_partition_must_cover_the_support(self, check, size):
+        joint, part = random_discrete_instance(0)
+        other = Partition(np.resize(part.regions, size))
+        with pytest.raises(ValueError,
+                           match=f"partition assigns {size} points, but the joint has 20 "):
+            check(joint, other)
+
 
 class TestGaussianMixture:
     def test_spec_validation(self):
@@ -184,6 +237,11 @@ class TestGaussianMixture:
                                 np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="sigma"):
             GaussianMixtureSpec(np.zeros((1, 2)), -1.0, np.array([1]), np.array([1.0]))
+
+    def test_sample_missing_a_class_is_rejected(self):
+        # seed 5 draws two class-2 points: class 1, not the highest class, is missed
+        with pytest.raises(ValueError, match="^sample of size 2 missed a class; increase n$"):
+            sample_mixture(three_cluster_spec(), 2, 5)
 
     def test_sampling_deterministic(self):
         spec = three_cluster_spec()
