@@ -40,6 +40,20 @@ def brute_force_scores(model, Z):
     return out
 
 
+def reference_scores(model, Z):
+    """The rule's (q, K) scores built from the model's fields, row-major:
+    (Z S+ M' - quad) + log pi, the two per-class terms applied apart."""
+    proj = model.cov_pinv @ model.means.T
+    quad = 0.5 * np.einsum("cd,dc->c", model.means, proj)
+    return Z @ proj - quad + model.log_priors
+
+
+def same_bits(a, b):
+    """Equal shapes and equal IEEE bits, so -0.0 differs from +0.0 and NaN equals NaN."""
+    return a.shape == b.shape and (np.ascontiguousarray(a).tobytes()
+                                   == np.ascontiguousarray(b).tobytes())
+
+
 def random_instance(rng, n=60, d=3, k=3, spread=4.0):
     y = rng.integers(1, k + 1, size=n)
     y[:k] = np.arange(1, k + 1)
@@ -167,3 +181,80 @@ class TestInvariances:
         y2 = np.concatenate([y, y[dup]])
         after = predict_lda(fit_lda(Z2, y2), grid)
         assert np.all(after[before == 2] == 2)
+
+
+class TestScoresEqualTheRowMajorRule:
+    """`discriminant_scores` and `predict_lda` give, bit for bit, the scores
+    `(Z S+ M' - quad) + log pi` and their `np.argmax` (first maximum, first NaN)
+    at every batch size, whatever order they are computed in."""
+
+    @staticmethod
+    def check(model, Z):
+        expected = reference_scores(model, Z)
+        assert same_bits(discriminant_scores(model, Z), expected)
+        labels = predict_lda(model, Z)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, np.argmax(expected, axis=1) + 1)
+        return expected
+
+    @staticmethod
+    def random_model(rng, k, d):
+        A = rng.normal(size=(d, d))
+        return LdaModel(means=rng.normal(scale=2.0, size=(k, d)), cov_pinv=A @ A.T,
+                        log_priors=np.log(rng.dirichlet(np.ones(k))))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    @pytest.mark.parametrize("q", [0, 1, 30, 5000])
+    def test_random_models(self, rng, k, q):
+        model = self.random_model(rng, k, 10)
+        self.check(model, rng.normal(scale=3.0, size=(q, 10)))
+
+    def test_repeated_batches_of_one_model(self, rng):
+        model = self.random_model(rng, 3, 10)
+        for q in (5000, 30, 5000, 1, 30):
+            self.check(model, rng.normal(scale=3.0, size=(q, 10)))
+
+    @pytest.mark.parametrize("q", [30, 5000])
+    def test_exact_ties_go_to_the_first_class(self, rng, q):
+        # integer rows and means with S+ = I make every score exact; classes 2 and 4
+        # share a mean, so ties also fall between classes after the first
+        means = rng.integers(-1, 2, size=(5, 3)).astype(float)
+        means[3] = means[1]
+        model = LdaModel(means, np.eye(3), np.log(np.full(5, 0.2)))
+        Z = rng.integers(-2, 3, size=(q, 3)).astype(float)
+        scores = self.check(model, Z)
+        top = scores == scores.max(axis=1, keepdims=True)
+        tied = top.sum(axis=1) > 1
+        assert tied.any() and (tied & ~top[:, 0]).any()
+
+    @pytest.mark.parametrize("q", [30, 5000])
+    def test_signed_zero_ties(self, rng, q):
+        # products near 1e-200 * 1e-200 underflow to a zero of their sign, the squared
+        # means underflow to +0.0 and log pi = -0.0 keeps that sign in the scores
+        signs = rng.choice([-1.0, 1.0], size=(4, 2))
+        model = LdaModel(signs * 1e-200, np.eye(2), np.full(4, -0.0))
+        Z = rng.choice([-1.0, 1.0], size=(q, 2)) * 1e-200
+        scores = self.check(model, Z)
+        assert np.all(scores == 0.0)
+        if not (np.signbit(scores).any() and not np.signbit(scores).all()):
+            pytest.skip("this BLAS kernel rounds each underflowing product before summing, "
+                        "so no score is -0.0")
+
+    @pytest.mark.parametrize("q", [30, 5000])
+    def test_overflowing_scores(self, rng, q):
+        # finite rows near 1e308. Class 2's quadratic term overflows to +inf, so it
+        # scores NaN where its product is +inf too and -inf elsewhere; classes 3 and 4
+        # score +-inf on the large rows. The first NaN is the maximum, as in np.argmax
+        means = np.array([[0.0, 0.0], [1e200, 1e200], [1e10, 1e10], [-1e10, -1e10],
+                          [1.0, 0.5]])
+        model = LdaModel(means, np.eye(2), np.log(np.full(5, 0.2)))
+        Z = rng.normal(size=(q, 2))
+        big = rng.random(q) < 0.5
+        Z[big] = rng.choice([-1.0, 1.0], size=(big.sum(), 2)) * rng.uniform(
+            1e307, 1.7e308, size=(big.sum(), 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = self.check(model, Z)
+        nan = np.isnan(scores)
+        assert nan[:, 1].any() and not nan[:, 0].any()
+        assert (~nan.any(axis=1) & np.isposinf(scores).any(axis=1)).any()
+        assert np.isneginf(scores).any()
