@@ -9,10 +9,18 @@ prediction falls back to priors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .data import feature_rows, json_numbers
+
+# predict_lda scores a batch class-major when it has at least _CLASS_MAJOR_ROWS rows
+# and the model at most _CLASS_MAJOR_CLASSES classes. Otherwise numpy's per-row loops
+# over the K classes cost less: on a 2-vCPU x86-64 host the two paths crossed between
+# 200 and 500 rows at K = 2 and 3, and at K = 12 row-major won on 60,000 rows.
+_CLASS_MAJOR_ROWS = 256
+_CLASS_MAJOR_CLASSES = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,9 +35,9 @@ class LdaModel:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         shapes = tuple(getattr(self, name).shape for name in names)
         k, d = shapes[0] if len(shapes[0]) == 2 else (0, 0)
-        if d < 1 or shapes[1:] != ((d, d), (k,)):
+        if k < 1 or d < 1 or shapes[1:] != ((d, d), (k,)):
             raise ValueError(f"lda means, cov_pinv and log_priors have shapes {shapes}, "
-                             f"not (K, d), (d, d) and (K,) with d >= 1")
+                             f"not (K, d), (d, d) and (K,) with K, d >= 1")
         bad = [name for name in names if not np.all(np.isfinite(getattr(self, name)))]
         if bad:
             raise ValueError(f"non-finite values in lda {', '.join(bad)}")
@@ -41,6 +49,13 @@ class LdaModel:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
+
+    @cached_property
+    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S+ M', M_c' S+ M_c / 2): the per-model terms of the scores, computed on
+        first use, so the batches of one model share them."""
+        proj = self.cov_pinv @ self.means.T          # (d, K)
+        return proj, 0.5 * np.einsum("cd,dc->c", self.means, proj)
 
     def to_dict(self) -> dict:
         return {"means": self.means.tolist(), "cov_pinv": self.cov_pinv.tolist(),
@@ -103,14 +118,44 @@ def _spectral_pinv(cov: np.ndarray) -> np.ndarray:
     return (pinv + pinv.T) / 2.0
 
 
+def _class_scores(model: LdaModel, Z: np.ndarray) -> np.ndarray:
+    """(K, q) scores, one contiguous row per class: (z' S+ M_c - quad_c) + log pi_c.
+
+    The product is (q, K) as in the row-major rule and each term is applied on its
+    own, so every score has the row-major rule's bits.
+    """
+    proj, quad = model._rule
+    scores = (Z @ proj).T.copy()
+    scores -= quad[:, None]
+    scores += model.log_priors[:, None]
+    return scores
+
+
 def discriminant_scores(model: LdaModel, Z) -> np.ndarray:
-    """Per-class discriminant z' S+ M_c - M_c' S+ M_c / 2 + log pi_c."""
-    Z = feature_rows(Z, model.dim)
-    proj = model.cov_pinv @ model.means.T          # (d, K)
-    quad = 0.5 * np.einsum("cd,dc->c", model.means, proj)
-    return Z @ proj - quad + model.log_priors
+    """Per-class discriminant z' S+ M_c - M_c' S+ M_c / 2 + log pi_c, as (q, K)."""
+    return _class_scores(model, feature_rows(Z, model.dim)).T
 
 
 def predict_lda(model: LdaModel, Z) -> np.ndarray:
-    """Class ids maximizing the discriminant; ties go to the smallest id."""
-    return np.argmax(discriminant_scores(model, Z), axis=1).astype(np.int64) + 1
+    """Class ids maximizing the discriminant; ties go to the smallest id.
+
+    The rule's per-model terms are computed once per model. A large batch of a
+    model with few classes is scored class-major: one row of scores per class,
+    then K - 1 whole-row comparisons keep the first maximum. A row holding a NaN
+    score takes ``np.argmax``'s first NaN, so the labels equal ``np.argmax`` of
+    the scores on either path.
+    """
+    Z = feature_rows(Z, model.dim)
+    if len(Z) < _CLASS_MAJOR_ROWS or model.n_classes > _CLASS_MAJOR_CLASSES:
+        proj, quad = model._rule
+        return np.argmax(Z @ proj - quad + model.log_priors, axis=1).astype(np.int64) + 1
+    scores = _class_scores(model, Z)
+    best, labels = scores[0].copy(), np.ones(len(Z), dtype=np.int64)
+    for c in range(1, model.n_classes):
+        # labels only rise, so the class that beats the best so far is the maximum
+        np.maximum(labels, (scores[c] > best) * (c + 1), out=labels)
+        np.maximum(best, scores[c], out=best)   # a NaN stays, marking its row
+    nan = np.isnan(best)
+    if nan.any():
+        labels[nan] = np.argmax(scores[:, nan], axis=0) + 1
+    return labels
