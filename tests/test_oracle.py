@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,16 @@ class TestGaussianMixture:
                                 np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="sigma"):
             GaussianMixtureSpec(np.zeros((1, 2)), -1.0, np.array([1]), np.array([1.0]))
+
+    @pytest.mark.parametrize("priors, message", [
+        ([1.0, 0.0], "class 2 has prior 0.0; every class prior must be > 0"),
+        ([-0.5, 1.5], "class 1 has prior -0.5; every class prior must be > 0"),
+        ([np.nan, 1.0], "class 1 has prior nan; every class prior must be > 0"),
+    ], ids=["zero", "negative", "nan"])
+    def test_every_class_prior_must_be_positive(self, priors, message):
+        # a class of prior 0 is never drawn, so sampling could only ask for a larger n
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GaussianMixtureSpec(np.zeros((2, 2)), 1.0, np.array([1, 2]), np.array(priors))
 
     def test_sample_missing_a_class_is_rejected(self):
         # seed 5 draws two class-2 points: class 1, not the highest class, is missed
