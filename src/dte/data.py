@@ -41,6 +41,8 @@ class Column:
     @staticmethod
     def from_dict(d: dict) -> "Column":
         col = Column(d["name"], d["kind"], d.get("source"), d.get("category"))
+        if type(col.name) is not str:
+            raise ValueError(f"column name {col.name!r} must be a string")
         if col.kind != "numeric" and (col.kind, type(col.source), type(col.category)) != (
                 "onehot", str, str):
             raise ValueError(f"column {col.name!r}: kind must be numeric, or onehot "

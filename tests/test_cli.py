@@ -368,6 +368,15 @@ class TestModelValidation:
         err = capsys.readouterr().err
         assert "malformed model" in err and "features, not W's 4 columns" in err
 
+    @pytest.mark.parametrize("name", [5, None], ids=["number", "null"])
+    def test_schema_names_must_be_strings(self, iris_model, tmp_path, capsys, name):
+        # the loaded model would otherwise blame the data file for a missing column
+        def edit(model):
+            model["schema"][0]["name"] = name
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        err = capsys.readouterr().err
+        assert "malformed model" in err and f"column name {name!r} must be a string" in err
+
     def test_schema_names_must_be_distinct(self, iris_model, tmp_path, capsys):
         def edit(model):
             model["schema"] = [model["schema"][0]] * 4
