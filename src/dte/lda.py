@@ -8,8 +8,7 @@ prediction falls back to priors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +27,8 @@ class LdaModel:
     means: np.ndarray       # (K, d) per-class means
     cov_pinv: np.ndarray    # (d, d) pseudoinverse of the pooled covariance
     log_priors: np.ndarray  # (K,)
+    # (S+ M', M_c' S+ M_c / 2), set by _score_terms on first use
+    _terms: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         names = ("means", "cov_pinv", "log_priors")
@@ -50,12 +51,14 @@ class LdaModel:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    @cached_property
-    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
+    def _score_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """(S+ M', M_c' S+ M_c / 2): the per-model terms of the scores, computed on
         first use, so the batches of one model share them."""
-        proj = self.cov_pinv @ self.means.T          # (d, K)
-        return proj, 0.5 * np.einsum("cd,dc->c", self.means, proj)
+        if self._terms is None:
+            proj = self.cov_pinv @ self.means.T          # (d, K)
+            object.__setattr__(self, "_terms",
+                               (proj, 0.5 * np.einsum("cd,dc->c", self.means, proj)))
+        return self._terms
 
     def to_dict(self) -> dict:
         return {"means": self.means.tolist(), "cov_pinv": self.cov_pinv.tolist(),
@@ -124,7 +127,7 @@ def _class_scores(model: LdaModel, Z: np.ndarray) -> np.ndarray:
     The product is (q, K) as in the row-major rule and each term is applied on its
     own, so every score has the row-major rule's bits.
     """
-    proj, quad = model._rule
+    proj, quad = model._score_terms()
     scores = (Z @ proj).T.copy()
     scores -= quad[:, None]
     scores += model.log_priors[:, None]
@@ -147,8 +150,8 @@ def predict_lda(model: LdaModel, Z) -> np.ndarray:
     """
     Z = feature_rows(Z, model.dim)
     if len(Z) < _CLASS_MAJOR_ROWS or model.n_classes > _CLASS_MAJOR_CLASSES:
-        proj, quad = model._rule
-        return np.argmax(Z @ proj - quad + model.log_priors, axis=1).astype(np.int64) + 1
+        proj, quad = model._score_terms()
+        return np.argmax(Z @ proj - quad + model.log_priors, axis=1).astype(np.int64, copy=False) + 1
     scores = _class_scores(model, Z)
     best, labels = scores[0].copy(), np.ones(len(Z), dtype=np.int64)
     for c in range(1, model.n_classes):
