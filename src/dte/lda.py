@@ -151,7 +151,10 @@ def predict_lda(model: LdaModel, Z) -> np.ndarray:
     Z = feature_rows(Z, model.dim)
     if len(Z) < _CLASS_MAJOR_ROWS or model.n_classes > _CLASS_MAJOR_CLASSES:
         proj, quad = model._score_terms()
-        return np.argmax(Z @ proj - quad + model.log_priors, axis=1).astype(np.int64, copy=False) + 1
+        scores = Z @ proj   # (q, K), each term applied in place on the product
+        scores -= quad
+        scores += model.log_priors
+        return np.argmax(scores, axis=1).astype(np.int64, copy=False) + 1
     scores = _class_scores(model, Z)
     best, labels = scores[0].copy(), np.ones(len(Z), dtype=np.int64)
     for c in range(1, model.n_classes):
