@@ -124,8 +124,8 @@ def _spectral_pinv(cov: np.ndarray) -> np.ndarray:
 def _class_scores(model: LdaModel, Z: np.ndarray) -> np.ndarray:
     """(K, q) scores, one contiguous row per class: (z' S+ M_c - quad_c) + log pi_c.
 
-    The product is (q, K) as in the row-major rule and each term is applied on its
-    own, so every score has the row-major rule's bits.
+    The product is taken (q, K), as on predict_lda's row-major path, and each term
+    is applied on its own, so every score has that path's bits.
     """
     proj, quad = model._score_terms()
     scores = (Z @ proj).T.copy()
@@ -135,7 +135,8 @@ def _class_scores(model: LdaModel, Z: np.ndarray) -> np.ndarray:
 
 
 def discriminant_scores(model: LdaModel, Z) -> np.ndarray:
-    """Per-class discriminant z' S+ M_c - M_c' S+ M_c / 2 + log pi_c, as (q, K)."""
+    """Per-class discriminant z' S+ M_c - M_c' S+ M_c / 2 + log pi_c, as (q, K): a
+    transposed view of the class-major scores."""
     return _class_scores(model, feature_rows(Z, model.dim)).T
 
 
