@@ -33,7 +33,10 @@ class LdaModel:
     def __post_init__(self):
         names = ("means", "cov_pinv", "log_priors")
         for name in names:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            # read-only views: the score terms cached on first use are computed from them
+            a = np.asarray(getattr(self, name), dtype=np.float64).view()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         shapes = tuple(getattr(self, name).shape for name in names)
         k, d = shapes[0] if len(shapes[0]) == 2 else (0, 0)
         if k < 1 or d < 1 or shapes[1:] != ((d, d), (k,)):

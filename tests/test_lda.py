@@ -214,6 +214,16 @@ class TestScoresEqualTheRowMajorRule:
         for q in (5000, 30, 5000, 1, 30):
             self.check(model, rng.normal(scale=3.0, size=(q, 10)))
 
+    def test_model_arrays_are_read_only(self, rng):
+        # the terms computed at the first prediction would not see an edit in place
+        means = rng.normal(size=(3, 4))
+        model = LdaModel(means, np.eye(4), np.log(np.full(3, 1 / 3)))
+        predict_lda(model, rng.normal(size=(5, 4)))
+        for name in ("means", "cov_pinv", "log_priors"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(model, name)[0] = 1.0
+        means[0, 0] = 1.0   # the caller's own array stays writable
+
     @pytest.mark.parametrize("q", [30, 5000])
     def test_exact_ties_go_to_the_first_class(self, rng, q):
         # integer rows and means with S+ = I make every score exact; classes 2 and 4
