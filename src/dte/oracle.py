@@ -328,9 +328,10 @@ class GaussianMixtureSpec:
             raise ValueError("component class ids must lie in 1..K")
         if np.any(np.bincount(cc, minlength=k + 1)[1:] == 0):
             raise ValueError("every class needs at least one component")
-        if not np.all(pr > 0):   # a class of prior 0 is never sampled
-            c = int(np.flatnonzero(~(pr > 0))[0]) + 1
-            raise ValueError(f"class {c} has prior {pr[c - 1]}; every class prior must be > 0")
+        bad = np.flatnonzero(~(pr > 0))   # a class of prior 0 is never sampled
+        if bad.size:
+            raise ValueError(f"class {bad[0] + 1} has prior {pr[bad[0]]}; "
+                             f"every class prior must be > 0")
         if abs(pr.sum() - 1.0) > 1e-12:
             raise ValueError("class priors must sum to 1")
 
