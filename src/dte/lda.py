@@ -14,12 +14,10 @@ import numpy as np
 
 from .data import feature_rows, json_numbers
 
-# predict_lda scores a batch class-major when it has at least _CLASS_MAJOR_ROWS rows
-# and the model at most _CLASS_MAJOR_CLASSES classes. Otherwise numpy's per-row loops
-# over the K classes cost less: on a 2-vCPU x86-64 host the two paths crossed between
-# 200 and 500 rows at K = 2 and 3, and at K = 12 row-major won on 60,000 rows.
+# predict_lda scores a batch class-major when it has at least _CLASS_MAJOR_ROWS rows;
+# below that numpy's per-row loops over the K classes cost less (on a 2-vCPU x86-64
+# host the two paths crossed between 200 and 500 rows at K = 2 and 3).
 _CLASS_MAJOR_ROWS = 256
-_CLASS_MAJOR_CLASSES = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,8 +31,8 @@ class LdaModel:
     def __post_init__(self):
         names = ("means", "cov_pinv", "log_priors")
         for name in names:
-            # read-only views: the score terms cached on first use are computed from them
-            a = np.asarray(getattr(self, name), dtype=np.float64).view()
+            # read-only private copies: the score terms cached on first use come from them
+            a = np.array(getattr(self, name), dtype=np.float64)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         shapes = tuple(getattr(self, name).shape for name in names)
@@ -146,14 +144,14 @@ def discriminant_scores(model: LdaModel, Z) -> np.ndarray:
 def predict_lda(model: LdaModel, Z) -> np.ndarray:
     """Class ids maximizing the discriminant; ties go to the smallest id.
 
-    The rule's per-model terms are computed once per model. A large batch of a
-    model with few classes is scored class-major: one row of scores per class,
-    then K - 1 whole-row comparisons keep the first maximum. A row holding a NaN
+    The rule's per-model terms are computed once per model. A large batch is
+    scored class-major: one row of scores per class, then K - 1 whole-row
+    comparisons keep the first maximum. A row holding a NaN
     score takes ``np.argmax``'s first NaN, so the labels equal ``np.argmax`` of
     the scores on either path.
     """
     Z = feature_rows(Z, model.dim)
-    if len(Z) < _CLASS_MAJOR_ROWS or model.n_classes > _CLASS_MAJOR_CLASSES:
+    if len(Z) < _CLASS_MAJOR_ROWS:
         proj, quad = model._score_terms()
         scores = Z @ proj   # (q, K), each term applied in place on the product
         scores -= quad

@@ -222,7 +222,8 @@ class TestScoresEqualTheRowMajorRule:
         for name in ("means", "cov_pinv", "log_priors"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(model, name)[0] = 1.0
-        means[0, 0] = 1.0   # the caller's own array stays writable
+        means[0, 0] = 1.0   # the caller's own array stays writable, and apart
+        assert model.means[0, 0] != 1.0
 
     @pytest.mark.parametrize("q", [30, 5000])
     def test_exact_ties_go_to_the_first_class(self, rng, q):
