@@ -158,12 +158,13 @@ def predict_lda(model: LdaModel, Z) -> np.ndarray:
         scores += model.log_priors
         return np.argmax(scores, axis=1).astype(np.int64, copy=False) + 1
     scores = _class_scores(model, Z)
-    best, labels = scores[0].copy(), np.ones(len(Z), dtype=np.int64)
+    small = np.min_scalar_type(model.n_classes).type   # labels and each class's term
+    best, labels = scores[0].copy(), np.ones(len(Z), dtype=small)
     for c in range(1, model.n_classes):
         # labels only rise, so the class that beats the best so far is the maximum
-        np.maximum(labels, (scores[c] > best) * (c + 1), out=labels)
+        np.maximum(labels, (scores[c] > best) * small(c + 1), out=labels)
         np.maximum(best, scores[c], out=best)   # a NaN stays, marking its row
     nan = np.isnan(best)
     if nan.any():
         labels[nan] = np.argmax(scores[:, nan], axis=0) + 1
-    return labels
+    return labels.astype(np.int64)
