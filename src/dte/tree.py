@@ -201,16 +201,28 @@ def fit_tree(ds: Dataset, cfg: TreeConfig = TreeConfig()) -> DecisionTree:
 
 # Roots grown together hold at most this many entries per level, both in the
 # level lists (p per row) and among the candidates (p * (num_bins - 1) per
-# searched node, which has at least 2 * min_leaf_size rows). More roots per
-# batch pay the fixed cost of a level's numpy calls fewer times; larger
-# batches raise the peak memory. 2**16 grows breast_cancer's 455-row fold
-# roots (~19.8k entries each) 3 to a batch; it is the largest power of two
-# that holds the bundled-data cross-validation's peak RSS within 1 MiB of
-# 2**14's, and larger budgets ran it no faster in a sweep (CHANGES.md).
-# pipeline.cross_validate also grows consecutive replicates in one call while
-# their samples hold at most this many row ids, which put that peak RSS at
-# 46.6 MiB (45.2 with one replicate per call; CHANGES.md).
-_BATCH_ENTRIES = 1 << 16
+# searched node, which has at least 2 * min_leaf_size rows). A level costs
+# about 0.3 ms of numpy calls whatever its size, so more roots per batch grow
+# in fewer levels; larger batches raise the peak memory. A sweep on a 2-vCPU
+# x86-64 host, numpy 2.4: levels and in-process ms of perfbench cv-bundled's
+# nine cross-validation calls (seed 7); the largest growth peak of the three
+# 150-root fold sets of test_growth_peak_is_bounded_by_the_batch_budget
+# (bound 4 MiB); cv-bundled's peak RSS, the median of 3 perfbench runs:
+#
+#   budget      levels   ms    growth peak   peak RSS
+#   2^14          1397   979     1.14 MiB    43.4 MiB
+#   2^16           508   704     1.93        44.9
+#   2^17           279   663     3.45        46.3
+#   17 * 2^13      244   642     3.57        46.5
+#   9 * 2^14       244   645     3.75        46.6
+#   5 * 2^15       220   639     4.26        46.9
+#   2^18           145   635     6.10        50.0
+#
+# 2^17 is the largest that keeps that peak RSS within 1 MiB of the 45.5 MiB
+# that int64 class counts read at 2^16 (CHANGES.md). pipeline.cross_validate
+# also grows consecutive replicates in one call while their samples hold at
+# most this many row ids.
+_BATCH_ENTRIES = 1 << 17
 
 
 def fit_tree_arrays(X: np.ndarray, y: np.ndarray, n_classes: int,
@@ -235,13 +247,13 @@ def fit_trees_arrays(X: np.ndarray, y: np.ndarray, samples, n_classes: int,
     X = np.ascontiguousarray(X, dtype=np.float64)
     y0 = np.asarray(y, dtype=np.int64) - 1
     p = X.shape[1]
-    ys = [y0[s] for s in samples]
-    sizes = np.array([v.size for v in ys], dtype=np.int64)
-    counts = np.array([np.bincount(v, minlength=n_classes) for v in ys],
-                      dtype=np.int64).reshape(len(ys), n_classes)
+    counts = np.zeros((len(samples), n_classes), dtype=np.int64)
+    for i, s in enumerate(samples):   # no sample's labels outlive its count
+        counts[i] = np.bincount(y0[s], minlength=n_classes)
+    sizes = counts.sum(axis=1)
     searched = _search_runs(sizes, counts, 0, cfg)
     per_row = p * max(1.0, (cfg.num_bins - 1) / (2 * cfg.min_leaf_size))  # worst case, per level
-    trees, leaves, batches, total = [None] * len(ys), [None] * len(ys), [], np.inf
+    trees, leaves, batches, total = [None] * len(samples), [None] * len(samples), [], np.inf
     for i, (size, runs) in enumerate(zip(sizes.tolist(), searched.tolist())):
         if not runs or p == 0:
             trees[i] = DecisionTree(np.array([-1]), np.empty(0), counts[i:i + 1], p, n_classes, cfg)
@@ -254,8 +266,8 @@ def fit_trees_arrays(X: np.ndarray, y: np.ndarray, samples, n_classes: int,
         total += size * per_row
     ids = np.arange(len(y0))
     for batch in batches:
-        rows = np.concatenate([ids[samples[i]] for i in batch])
-        grown = _grow(X, y0, rows, sizes[batch], counts[batch], cfg)
+        grown = _grow(X, y0, np.concatenate([ids[samples[i]] for i in batch]),
+                      sizes[batch], counts[batch], cfg)
         for i, (*lists, leaf) in zip(batch, grown):
             trees[i], leaves[i] = DecisionTree(*lists, p, n_classes, cfg), leaf
     if leaf_ids is not None:
@@ -270,6 +282,7 @@ def _grow(X, y0, rows, sizes, counts, cfg):
     """
     n, p = len(rows), X.shape[1]
     col = _Columns(X, y0, rows, counts.shape[1])
+    del rows   # the columns hold what growth reads of the batch's rows
     # Row j of `lists` holds, for each node of the level, the node's training
     # rows in feature j's order; node v owns entries starts[v] .. starts[v] +
     # sizes[v] - 1 of every row.
@@ -384,28 +397,32 @@ class _Columns:
         val = self.val.reshape(len(self.offset), -1)
         order, ends = np.empty(val.shape, dtype=np.int64), root_sizes.cumsum()
         for begin, end in zip((ends - root_sizes).tolist(), ends.tolist()):
-            order[:, begin:end] = np.argsort(val[:, begin:end], axis=1) + begin
+            np.add(np.argsort(val[:, begin:end], axis=1), begin, out=order[:, begin:end])
         return order
 
     def class_counts(self, lists, seg, left_n, n_classes):
         """Class-major counts (n_classes, m, p, B - 1) of the first left_n[v, j, r]
-        entries of segment seg[v, j] of `lists` (node v's rows on feature j);
-        the counts of a cell whose left_n is 0 mean nothing."""
+        entries of segment seg[v, j] of `lists` (node v's rows on feature j), in
+        left_n's dtype; the counts of a cell whose left_n is 0 mean nothing.
+        The running counts along each row go before the counts are unpacked."""
         total = np.empty(lists.shape, dtype=np.int64)   # running counts along each row
         flat = total.ravel()
         first = seg % lists.shape[1] == 0               # no entry before the segment in its row
         last = seg[:, :, None] + left_n
         last -= 1
-        out = np.empty((n_classes,) + left_n.shape, dtype=np.int64)
-        for w, word in enumerate(self.word):
+        packed = []
+        for word in self.word:
             np.take(word, lists, out=total, mode="wrap")   # ids are in range; unbuffered
             total.cumsum(axis=1, out=total)
-            packed = flat[last]
-            packed -= np.where(first, 0, flat[seg - 1])[:, :, None]
+            packed.append(flat[last])
+            packed[-1] -= np.where(first, 0, flat[seg - 1])[:, :, None]
+        del total, flat, last
+        out = np.empty((n_classes,) + left_n.shape, dtype=left_n.dtype)
+        for w, word in enumerate(packed):
             top = min(n_classes, (w + 1) * self.digits) - 1    # the word's last class
             for c in range(w * self.digits, top):
-                np.divmod(packed, self.base, out=(packed, out[c]))
-            out[top] = packed
+                np.divmod(word, self.base, out=(word, out[c]))
+            out[top] = word
         return out
 
 
@@ -455,6 +472,9 @@ def _best_splits(col, lists, starts, sizes, counts, cfg):
     m, (p, width) = len(sizes), lists.shape
     bins, k, mls = cfg.num_bins, counts.shape[1], cfg.min_leaf_size
     flat, val = lists.ravel(), col.val
+    # left sizes and class counts, at most the largest node's size, take the
+    # narrowest signed type that holds it
+    small = np.min_scalar_type(-int(sizes.max()) - 1)
 
     pos = np.arange(1, bins) * (sizes - 1)[:, None] / bins   # (m, B-1)
     lo = pos.astype(np.int64)
@@ -473,49 +493,59 @@ def _best_splits(col, lists, starts, sizes, counts, cfg):
     # left_n: rows of the node with a value below the candidate, lo + 1 when
     # below < cand <= above. These checks read the node's values at the paired
     # rank, so they hold for a sorted candidate paired with a neighbour's rank too.
-    left_n = np.broadcast_to(lo[:, None, :] + 1, cand.shape).copy()
+    left_n = np.broadcast_to((lo + 1).astype(small)[:, None, :], cand.shape).copy()
     # below sv[-1]; above sv[0] follows from left_n >= min_leaf_size >= 1
     inside = cand < val[flat[seg + (sizes - 1)[:, None]] + col.offset][:, :, None]
     tied = cand <= below
     tied |= cand > above
+    del above
     tied &= inside
     hard = tied.ravel().nonzero()[0]
+    del tied
+    c = cand.ravel()[hard]
+    opens = c == below.ravel()[hard]
+    del below
     pair = hard // (bins - 1)                                 # the cell's node * p + feature
-    c, a = cand.ravel()[hard], below.ravel()[hard]
-    begin, shift = seg.ravel()[pair], col.offset[pair % p]
-    del tied, below, above
     cells = left_n.ravel()
-    # c == a opening a's run (the value before rank lo = cells - 1 is below a):
-    # left_n = lo; otherwise search the node
-    opens = (c == a) & (val[flat[begin + cells[hard] - 2] + shift] < a)
+    # c equal to `below` opening that value's run (the value before rank lo =
+    # cells - 1 is below c): left_n = lo; otherwise search the node. Each tie
+    # array goes once read, and the search's own arrays hold its cells alone.
+    opens &= val[flat[seg.ravel()[pair] + cells[hard] - 2] + col.offset[pair % p]] < c
+    del c, pair
     cells[hard[opens]] -= 1
-    rest = ~opens
-    if rest.any():
-        cells[hard[rest]] = _count_below(val, flat, shift[rest], begin[rest],
-                                         sizes[pair[rest] // p], c[rest])
-    dead = ~inside
+    rest = hard[~opens]
+    del hard, opens
+    if rest.size:
+        pair = rest // (bins - 1)
+        cells[rest] = _count_below(val, flat, col.offset[pair % p], seg.ravel()[pair],
+                                   sizes[pair // p], cand.ravel()[rest])
+        del rest, pair
+    dead = np.logical_not(inside, out=inside)
     dead |= left_n < mls
     dead |= left_n > (sizes - mls)[:, None, None]
     np.maximum(left_n, 1, out=left_n)   # a dead cell may hold no row on the left
 
     left = col.class_counts(lists, seg, left_n, k)             # (k, m, p, B-1)
     psq = (counts * counts).sum(axis=1)
-    lsq, rsq = np.zeros((2,) + left_n.shape, dtype=np.int64)   # Lsq; sum_c C_c l_c, then Rsq
-    buf = np.empty(left_n.shape, dtype=np.int64)
+    lsq, rsq, buf = np.zeros((3,) + left_n.shape, dtype=np.int64)   # Lsq; sum_c C_c l_c, then Rsq
     for c in range(k):
-        lsq += np.multiply(left[c], left[c], out=buf)
+        lsq += np.square(left[c], out=buf, dtype=np.int64)
         rsq += np.multiply(left[c], counts[:, c, None, None], out=buf)
     rsq *= -2
     rsq += psq[:, None, None]
     rsq += lsq                                   # Rsq = Psq - 2 sum_c C_c l_c + Lsq
-    rn = np.subtract(sizes[:, None, None], left_n, out=buf)   # a dead cell's may be 0 or below
-    # Lsq rn + Rsq ln: each term is an integer of at most 4 n^3 / 27
-    score = np.multiply(lsq, rn, dtype=np.float64)
-    score += np.multiply(rsq, left_n, dtype=np.float64)
-    den = np.multiply(left_n, rn, out=rn)
+    # Lsq rn + Rsq ln: each term is an integer of at most 4 n^3 / 27, formed
+    # in float64 in the int64 buffers that rsq and buf free; rn and the
+    # denominator ln rn are exact in float64 too
+    rsq_ln = np.multiply(rsq, left_n, dtype=np.float64, out=buf.view(np.float64))
+    rn = np.subtract(sizes[:, None, None], left_n, dtype=np.float64,
+                     out=rsq.view(np.float64))   # a dead cell's may be 0 or below
+    den = np.multiply(rn, left_n)
+    score = np.multiply(lsq, rn, out=rn)
+    score += rsq_ln
     np.maximum(den, 1, out=den)
     score /= den
-    del left_n, lsq, rsq, buf
+    del left_n, den
     score[dead] = -np.inf
     score = score.reshape(m, -1)
     best = score.argmax(axis=1)       # first maximum: lowest feature, then lowest threshold
@@ -523,7 +553,7 @@ def _best_splits(col, lists, starts, sizes, counts, cfg):
     wins = score[v, best] > psq / sizes   # a searched node holds rows
     j, r = np.divmod(best, bins - 1)
     feat = np.where(wins, j, -1)
-    chosen = left[:, v, j, r].T
+    chosen = left[:, v, j, r].T.astype(np.int64)
     return feat, cand[v, j, r], chosen.sum(axis=1), chosen
 
 

@@ -71,6 +71,18 @@ class TestFitPredict:
             tracemalloc.stop()
         assert peak < train.n * clf.embedding.m * 8 / 2
 
+    def test_deep_root_growth_peak_does_not_rise(self):
+        # one lib-deep-sized root grows alone in its batch, whatever the budget;
+        # 6,975,116 bytes is its peak with int64 counts and a 2^16 budget (numpy 2.4)
+        train = _deep_mixture()[0]
+        tracemalloc.start()
+        try:
+            fit_tree(train, TreeConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6_975_116, peak
+
     def test_lda_dim_must_match_embedding(self, iris):
         clf = fit(iris, TreeConfig())
         bad_lda = fit_lda(np.random.default_rng(0).normal(size=(30, clf.embedding.m + 1)),
@@ -289,6 +301,30 @@ class TestCrossValidate:
         ds = from_arrays(np.arange(2.0 * n).reshape(n, 2), np.arange(n) * 2 // n + 1)
         calls = self.growth_calls(monkeypatch, ds, ["dte-3"], 3)
         assert calls == ([30, 15] if fill == 0 else [15] * 3)
+
+    def test_output_does_not_depend_on_the_batch_budget(self, wine, cancer, monkeypatch):
+        # the budget sets which roots grow together and which replicates share a
+        # call: 2^14 grows breast_cancer's fold roots one per batch and its
+        # replicates 2 + 1, 2^30 every root of a call in one batch
+        def run(ds, budget):
+            grown = []
+
+            def grow(*args):
+                trees = fit_trees_arrays(*args)
+                grown.extend(json.dumps(tree.to_dict()) for tree in trees)
+                return trees
+
+            with monkeypatch.context() as m:
+                m.setattr(tree_module, "_BATCH_ENTRIES", budget)
+                m.setattr(dte.pipeline, "_BATCH_ENTRIES", budget)
+                m.setattr(dte.pipeline, "fit_trees_arrays", grow)
+                reports = cross_validate(ds, ["dte-1", "dte-3", "tree"], replicates=3)
+            return [(r.errors.tolist(), r.leaf_counts.tolist()) for r in reports], grown
+
+        for ds in (wine, cancer):
+            runs = [run(ds, budget) for budget in (1 << 14, tree_module._BATCH_ENTRIES, 1 << 30)]
+            assert len(runs[0][1]) == 3 * 5 * 3
+            assert runs[0] == runs[1] == runs[2]
 
     def test_growth_peak_does_not_grow_with_replicates(self):
         # each replicate's fold samples fill more than half the batch bound,

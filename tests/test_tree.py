@@ -262,6 +262,22 @@ class TestSplitRuleReference:
             assert tree.histogram[0].tolist() == left.tolist()
 
 
+    @pytest.mark.parametrize("n", [200, 40_000])
+    def test_counts_past_a_narrower_type_split_as_the_reference(self, n):
+        # the root's left class counts pass 127 (n = 200) or 32,767 (n = 40,000),
+        # so counts held in a type sized for a smaller node would wrap
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 2))
+        y = np.where(X[:, 0] < 1.5, 1, rng.integers(2, 4, size=n))
+        cfg = TreeConfig(max_depth=1)
+        tree = fit_tree_arrays(X, y, 3, cfg)
+        j, threshold, left = reference_split(X, y - 1, 3, cfg.min_leaf_size, cfg.num_bins)
+        assert left.max() > (127 if n < 32_768 else 32_767)
+        assert tree.feature.tolist() == [j, -1, -1]
+        assert float(tree.threshold[0]).hex() == float(threshold).hex()
+        assert tree.histogram[0].tolist() == left.tolist()
+
+
 class TestSerialization:
     def test_json_round_trip_exact(self, wine):
         tree = fit_tree(wine, TreeConfig())
@@ -425,7 +441,10 @@ class TestBatchedRoots:
         return batched, roots_per_batch
 
     def test_samples_spanning_several_batches(self, wine, monkeypatch):
-        samples = _fold_samples(wine, 4, 3)
+        # a replicate's 15 fold roots of ~142 rows count about 15 * 142 * p *
+        # 29 / 20 entries against the budget: enough replicates for three batches
+        per_replicate = 15 * 142 * wine.p * 29 / 20
+        samples = _fold_samples(wine, int(2 * tree_module._BATCH_ENTRIES / per_replicate) + 1, 3)
         batched, roots_per_batch = self.roots_per_grow(monkeypatch, wine, samples)
         assert len(roots_per_batch) >= 3 and min(roots_per_batch) > 1
         self.assert_same_trees(wine.features, wine.labels, samples, wine.n_classes,
@@ -460,7 +479,7 @@ class TestBatchedRoots:
                 assert np.all(np.diff(X[rows[order], j]) >= 0)
 
     def test_growth_peak_is_bounded_by_the_batch_budget(self, iris, wine, cancer):
-        # one batch of all 150 wine roots would peak near 16 MiB; a level of a
+        # one batch of all 150 wine roots would peak near 9.5 MiB; a level of a
         # batch holds a few arrays of its list entries and candidates at once
         for ds in (iris, wine, cancer):
             samples = _fold_samples(ds, 10, 3)
