@@ -527,7 +527,8 @@ def _best_splits(col, lists, starts, sizes, counts, cfg):
 
     left = col.class_counts(lists, seg, left_n, k)             # (k, m, p, B-1)
     psq = (counts * counts).sum(axis=1)
-    lsq, rsq, buf = np.zeros((3,) + left_n.shape, dtype=np.int64)   # Lsq; sum_c C_c l_c, then Rsq
+    lsq, rsq = np.zeros((2,) + left_n.shape, dtype=np.int64)   # Lsq; sum_c C_c l_c, then Rsq
+    buf = np.empty(left_n.shape, dtype=np.int64)
     for c in range(k):
         lsq += np.square(left[c], out=buf, dtype=np.int64)
         rsq += np.multiply(left[c], counts[:, c, None, None], out=buf)
