@@ -96,6 +96,8 @@ def _load_model(path):
         emb = Embedding.from_dict(model["embedding"])
         clf = DteClassifier(emb, LdaModel.from_dict(model["lda"]), emb.trees[0].config,
                             emb.n_trees, seed)
+        if not isinstance(model["schema"], list):
+            raise ValueError("schema must be a list of columns")
         schema = tuple(Column.from_dict(c) for c in model["schema"])
         if len(schema) != emb.p:
             raise ValueError(f"the schema encodes {len(schema)} features, not W's {emb.p} columns")

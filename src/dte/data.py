@@ -40,6 +40,7 @@ class Column:
 
     @staticmethod
     def from_dict(d: dict) -> "Column":
+        d = json_object(d, "a schema column")
         col = Column(d["name"], d["kind"], d.get("source"), d.get("category"))
         if type(col.name) is not str:
             raise ValueError(f"column name {col.name!r} must be a string")
@@ -142,6 +143,13 @@ def json_numbers(values, integers: bool = False) -> np.ndarray | None:
         if bool in set(map(type, entries)):
             return None
     return a.astype(np.int64 if integers else np.float64, copy=False)
+
+
+def json_object(value, name: str) -> dict:
+    """value when it is a JSON object (a dict); else a ValueError naming the field."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    return value
 
 
 def _read(path, has_header: bool) -> tuple[list[str] | None, list[str], np.ndarray]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, bootstrap, feature_rows, json_numbers
+from .data import Dataset, bootstrap, feature_rows, json_numbers, json_object
 from .tree import DecisionTree, TreeConfig, fit_tree_arrays
 
 @dataclass(frozen=True, eq=False)
@@ -69,11 +69,17 @@ class Embedding:
 
     @staticmethod
     def from_dict(d: dict) -> "Embedding":
+        d = json_object(d, "embedding")
         anchors = json_numbers(d["W"])
         if anchors is None:
             raise ValueError("W must hold numbers")
-        trees = tuple(DecisionTree.from_dict(t) for t in d["trees"])
-        return Embedding(anchors, anchor_intercept(anchors), trees)
+        if anchors.ndim != 2:   # checked before the intercept reads W's rows
+            raise ValueError(f"W must be a list of rows, not an array of shape {anchors.shape}")
+        trees = d["trees"]
+        if not (isinstance(trees, list) and trees and all(isinstance(t, dict) for t in trees)):
+            raise ValueError("embedding trees must be a non-empty list of JSON objects")
+        return Embedding(anchors, anchor_intercept(anchors),
+                         tuple(DecisionTree.from_dict(t) for t in trees))
 
 
 def _leaf_means(X: np.ndarray, leaf: np.ndarray, n_leaves: int) -> np.ndarray:

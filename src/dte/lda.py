@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import feature_rows, json_numbers
+from .data import feature_rows, json_numbers, json_object
 
 # predict_lda scores a batch class-major when it has at least _CLASS_MAJOR_ROWS rows;
 # below that numpy's per-row loops over the K classes cost less (on a 2-vCPU x86-64
@@ -25,13 +25,15 @@ class LdaModel:
     means: np.ndarray       # (K, d) per-class means
     cov_pinv: np.ndarray    # (d, d) pseudoinverse of the pooled covariance
     log_priors: np.ndarray  # (K,)
-    # (S+ M', M_c' S+ M_c / 2), set by _score_terms on first use
-    _terms: tuple | None = field(default=None, init=False, repr=False)
+    # the rule's per-model terms S+ M' (d, K) and M_c' S+ M_c / 2 (K,), set once by
+    # __post_init__, so the batches of one model share them
+    _proj: np.ndarray = field(init=False, repr=False)
+    _quad: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         names = ("means", "cov_pinv", "log_priors")
         for name in names:
-            # read-only private copies: the score terms cached on first use come from them
+            # read-only private copies: the rule's terms come from them
             a = np.array(getattr(self, name), dtype=np.float64)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -43,6 +45,11 @@ class LdaModel:
         bad = [name for name in names if not np.all(np.isfinite(getattr(self, name)))]
         if bad:
             raise ValueError(f"non-finite values in lda {', '.join(bad)}")
+        proj = self.cov_pinv @ self.means.T
+        quad = 0.5 * np.einsum("cd,dc->c", self.means, proj)
+        for name, a in (("_proj", proj), ("_quad", quad)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n_classes(self) -> int:
@@ -52,21 +59,13 @@ class LdaModel:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def _score_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S+ M', M_c' S+ M_c / 2): the per-model terms of the scores, computed on
-        first use, so the batches of one model share them."""
-        if self._terms is None:
-            proj = self.cov_pinv @ self.means.T          # (d, K)
-            object.__setattr__(self, "_terms",
-                               (proj, 0.5 * np.einsum("cd,dc->c", self.means, proj)))
-        return self._terms
-
     def to_dict(self) -> dict:
         return {"means": self.means.tolist(), "cov_pinv": self.cov_pinv.tolist(),
                 "log_priors": self.log_priors.tolist()}
 
     @staticmethod
     def from_dict(d: dict) -> "LdaModel":
+        d = json_object(d, "lda")
         arrays = {name: json_numbers(d[name]) for name in ("means", "cov_pinv", "log_priors")}
         bad = [name for name, a in arrays.items() if a is None]
         if bad:
@@ -128,9 +127,8 @@ def _class_scores(model: LdaModel, Z: np.ndarray) -> np.ndarray:
     The product is taken (q, K), as on predict_lda's row-major path, and each term
     is applied on its own, so every score has that path's bits.
     """
-    proj, quad = model._score_terms()
-    scores = (Z @ proj).T.copy()
-    scores -= quad[:, None]
+    scores = (Z @ model._proj).T.copy()
+    scores -= model._quad[:, None]
     scores += model.log_priors[:, None]
     return scores
 
@@ -144,7 +142,7 @@ def discriminant_scores(model: LdaModel, Z) -> np.ndarray:
 def predict_lda(model: LdaModel, Z) -> np.ndarray:
     """Class ids maximizing the discriminant; ties go to the smallest id.
 
-    The rule's per-model terms are computed once per model. A large batch is
+    The rule's per-model terms come with the model. A large batch is
     scored class-major: one row of scores per class, then K - 1 whole-row
     comparisons keep the first maximum. A row holding a NaN
     score takes ``np.argmax``'s first NaN, so the labels equal ``np.argmax`` of
@@ -152,9 +150,8 @@ def predict_lda(model: LdaModel, Z) -> np.ndarray:
     """
     Z = feature_rows(Z, model.dim)
     if len(Z) < _CLASS_MAJOR_ROWS:
-        proj, quad = model._score_terms()
-        scores = Z @ proj   # (q, K), each term applied in place on the product
-        scores -= quad
+        scores = Z @ model._proj   # (q, K), each term applied in place on the product
+        scores -= model._quad
         scores += model.log_priors
         return np.argmax(scores, axis=1).astype(np.int64, copy=False) + 1
     scores = _class_scores(model, Z)

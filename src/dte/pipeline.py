@@ -65,8 +65,8 @@ def _anchor_span_lda(emb: Embedding, X: np.ndarray, y: np.ndarray) -> LdaModel:
 def predict(clf: DteClassifier, X) -> np.ndarray:
     """Affine-only inference: the LDA rule on x, one (q, p) x (p, K) product.
 
-    The model's rule is computed once and reused by later batches; a large batch
-    is scored class-major (see ``predict_lda``), with the same labels.
+    The model holds its rule, computed as it was built; a large batch is scored
+    class-major (see ``predict_lda``), with the same labels.
     """
     return predict_lda(clf.lda, X)
 

@@ -47,7 +47,7 @@ from typing import Union
 
 import numpy as np
 
-from .data import Dataset, feature_rows, json_numbers
+from .data import Dataset, feature_rows, json_numbers, json_object
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,7 @@ class TreeConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TreeConfig":
+        d = json_object(d, "tree config")
         mls, bins, depth = d["min_leaf_size"], d["num_bins"], d.get("max_depth")
         if not (type(mls) is int and type(bins) is int and (depth is None or type(depth) is int)):
             raise ValueError("tree config min_leaf_size and num_bins must be integers, "
@@ -104,12 +105,15 @@ class DecisionTree:
     threshold: np.ndarray          # float64, one per split in pre-order
     histogram: np.ndarray          # int64 (leaves, n_classes); index c-1 -> class c
     n_features: int
-    n_classes: int
     config: TreeConfig
 
     @property
     def n_leaves(self) -> int:
         return len(self.histogram)
+
+    @property
+    def n_classes(self) -> int:
+        return self.histogram.shape[1]
 
     @property
     def root(self) -> Union[SplitNode, LeafNode]:
@@ -191,7 +195,7 @@ class DecisionTree:
         # +1 per split and -1 per leaf: one tree's pre-order first sums below 0 at its last node
         if np.any(np.where(feature < 0, -1, 1).cumsum()[:-1] < 0):
             raise ValueError("tree lists are not the pre-order of one tree")
-        return DecisionTree(feature, threshold, histogram, p, k, TreeConfig.from_dict(d["config"]))
+        return DecisionTree(feature, threshold, histogram, p, TreeConfig.from_dict(d["config"]))
 
 
 def fit_tree(ds: Dataset, cfg: TreeConfig = TreeConfig()) -> DecisionTree:
@@ -256,7 +260,7 @@ def fit_trees_arrays(X: np.ndarray, y: np.ndarray, samples, n_classes: int,
     trees, leaves, batches, total = [None] * len(samples), [None] * len(samples), [], np.inf
     for i, (size, runs) in enumerate(zip(sizes.tolist(), searched.tolist())):
         if not runs or p == 0:
-            trees[i] = DecisionTree(np.array([-1]), np.empty(0), counts[i:i + 1], p, n_classes, cfg)
+            trees[i] = DecisionTree(np.array([-1]), np.empty(0), counts[i:i + 1], p, cfg)
             leaves[i] = np.zeros(size, dtype=np.int64)
             continue
         if total + size * per_row > _BATCH_ENTRIES:
@@ -269,7 +273,7 @@ def fit_trees_arrays(X: np.ndarray, y: np.ndarray, samples, n_classes: int,
         grown = _grow(X, y0, np.concatenate([ids[samples[i]] for i in batch]),
                       sizes[batch], counts[batch], cfg)
         for i, (*lists, leaf) in zip(batch, grown):
-            trees[i], leaves[i] = DecisionTree(*lists, p, n_classes, cfg), leaf
+            trees[i], leaves[i] = DecisionTree(*lists, p, cfg), leaf
     if leaf_ids is not None:
         leaf_ids += leaves
     return trees

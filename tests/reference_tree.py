@@ -70,4 +70,4 @@ def reference_tree(X, y, k: int, cfg: TreeConfig) -> DecisionTree:
         goes_left = X[rows, j] < t
         stack += [(rows[~goes_left], depth + 1), (rows[goes_left], depth + 1)]
     return DecisionTree(np.array(feature, dtype=np.int64), np.array(threshold, dtype=np.float64),
-                        np.array(histogram, dtype=np.int64), X.shape[1], k, cfg)
+                        np.array(histogram, dtype=np.int64), X.shape[1], cfg)

@@ -1,10 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dte import TreeConfig, fit, predict
+from dte import Embedding, TreeConfig, fit, predict
 from dte.cli import main
 
 IRIS = "data/iris.csv"
@@ -419,6 +423,105 @@ class TestModelValidation:
             model["lda"]["cov_pinv"][0][0] = float("nan")
         assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
         assert "non-finite values in lda cov_pinv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda model: model.update(embedding=[]), "embedding"),
+        (lambda model: model.update(lda="lda"), "lda"),
+        (lambda model: model["embedding"]["trees"].__setitem__(0, []), "trees"),
+        (lambda model: model["embedding"].update(trees=[]), "trees"),
+        (lambda model: model["embedding"]["trees"][0].update(config=[]), "config"),
+        (lambda model: model.update(schema=None), "schema"),
+        (lambda model: model["schema"].__setitem__(0, "sepal_length"), "schema"),
+        (lambda model: model["embedding"].update(W=[]), "W"),
+        (lambda model: model["embedding"].update(W=model["embedding"]["W"][0]), "W"),
+    ], ids=["list-embedding", "string-lda", "list-tree", "no-trees", "list-config",
+            "null-schema", "string-column", "empty-W", "flat-W"])
+    def test_a_part_of_another_json_type_names_its_field(self, iris_model, tmp_path, capsys,
+                                                         edit, field):
+        assert self.predict_with_edit(iris_model, tmp_path, edit) == 2
+        reason = capsys.readouterr().err.split("malformed model", 1)[1]
+        assert field in reason and "TypeError" not in reason and "AxisError" not in reason
+
+
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Iris models of 1 and 3 trees, and iris's four feature columns alone."""
+    d = tmp_path_factory.mktemp("fuzz")
+    for t in (1, 3):
+        assert run("train", "--data", IRIS, "--label", "species", "--trees", str(t),
+                   "--out", str(d / f"m{t}.json")) == 0
+    (d / "features.csv").write_text("".join(",".join(row[:4]) + "\n" for row in read_rows(IRIS)))
+    return d
+
+
+def json_type(value):
+    return {bool: "boolean", int: "integer", float: "number", str: "string",
+            type(None): "null", dict: "object", list: "array"}[type(value)]
+
+
+class TestModelFileFuzz:
+    """One edit of a trained model, at a key or entry drawn from the whole file, either
+    loads and predicts (exit 0) or exits 2 with a message naming the edited key (the
+    nearest key above an edited list entry; "format version" names format_version).
+    An edit deletes a key, gives a value another JSON type (a float for an integer),
+    empties a list, makes one row of an array ragged, or repeats a label or a schema
+    column's name."""
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_an_edited_model_predicts_or_names_the_edited_key(self, fuzz_dir, data):
+        model = json.loads((fuzz_dir / f"m{data.draw(st.sampled_from([1, 3]))}.json").read_text())
+        path, node = [], model
+        while True:   # descend from the top level, stopping at a drawn depth
+            path.append(data.draw(st.sampled_from(
+                list(node) if isinstance(node, dict) else range(len(node)))))
+            parent, node = node, node[path[-1]]
+            if not isinstance(node, (dict, list)) or not node or data.draw(st.booleans()):
+                break
+        edits = ["retype"] + ["delete"] * isinstance(parent, dict)
+        if isinstance(node, list) and node:
+            edits += ["empty"] + ["ragged"] * all(isinstance(row, list) for row in node)
+        edits += ["repeat"] * (path in (["label_names"], ["schema"]))
+        edit = data.draw(st.sampled_from(edits))
+        if edit == "delete":
+            del parent[path[-1]]
+        elif edit == "retype":
+            parent[path[-1]] = data.draw(st.sampled_from([
+                v for v in ("text", True, None, float(node) if type(node) is int else 1.5,
+                            {"key": 1}, [1]) if json_type(v) != json_type(node)]))
+        elif edit == "empty":
+            node.clear()
+        elif edit == "ragged":   # one row an entry longer or shorter than the others
+            row = node[data.draw(st.sampled_from(range(len(node))))]
+            if data.draw(st.booleans()):
+                row.append(row[-1])
+            else:
+                row.pop()
+        else:   # a later label or schema column takes an earlier one's name
+            i = data.draw(st.sampled_from(range(len(node) - 1)))
+            j = data.draw(st.sampled_from(range(i + 1, len(node))))
+            if path == ["label_names"]:
+                node[j] = node[i]
+            else:
+                node[j]["name"] = node[i]["name"]
+        edited = fuzz_dir / "edited.json"
+        edited.write_text(json.dumps(model))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run("predict", "--model", str(edited), "--data", str(fuzz_dir / "features.csv"),
+                       "--out", str(fuzz_dir / "p.csv"))
+        message = err.getvalue().replace(str(edited), "")
+        key = [k for k in path if isinstance(k, str)][-1]
+        assert code == 0 or (code == 2 and (key in message or key.replace("_", " ") in message)), \
+            (edit, path, message)
+
+    def test_loaded_trees_read_their_class_count_from_their_histograms(self, fuzz_dir):
+        for t in (1, 3):
+            trees = Embedding.from_dict(json.loads((fuzz_dir / f"m{t}.json").read_text())
+                                        ["embedding"]).trees
+            assert [tree.n_classes for tree in trees] == [3] * t
+            assert all(tree.n_classes == tree.histogram.shape[1] for tree in trees)
 
 
 class TestHeaderless:

@@ -214,8 +214,18 @@ class TestScoresEqualTheRowMajorRule:
         for q in (5000, 30, 5000, 1, 30):
             self.check(model, rng.normal(scale=3.0, size=(q, 10)))
 
+    def test_predicting_leaves_the_model_unchanged(self, rng):
+        # the rule's terms are built with the model, so a frozen model stays as built
+        model = self.random_model(rng, 3, 10)
+        before = {name: id(value) for name, value in vars(model).items()}
+        for q in (5000, 30):
+            predict_lda(model, rng.normal(size=(q, 10)))
+            discriminant_scores(model, rng.normal(size=(q, 10)))
+        assert {name: id(value) for name, value in vars(model).items()} == before
+        assert not any(a.flags.writeable for a in vars(model).values())
+
     def test_model_arrays_are_read_only(self, rng):
-        # the terms computed at the first prediction would not see an edit in place
+        # the rule's terms, computed with the model, would not see an edit in place
         means = rng.normal(size=(3, 4))
         model = LdaModel(means, np.eye(4), np.log(np.full(3, 1 / 3)))
         predict_lda(model, rng.normal(size=(5, 4)))

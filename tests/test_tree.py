@@ -13,6 +13,7 @@ from dte.embed import tree_samples
 from dte.oracle import sample_mixture, three_cluster_spec
 from dte.tree import LeafNode, SplitNode, fit_tree_arrays, fit_trees_arrays
 
+import test_tree_golden as golden
 from reference_tree import reference_split
 
 
@@ -285,6 +286,14 @@ class TestSerialization:
         again = DecisionTree.from_dict(json.loads(blob))
         assert again.to_dict() == tree.to_dict()
         assert np.array_equal(again.apply(wine.features), tree.apply(wine.features))
+
+    def test_golden_trees_read_their_class_count_from_their_histograms(self):
+        for make, cfg in golden.CASES.values():
+            X, y, k = make()
+            tree = fit_tree_arrays(X, y, k, TreeConfig(*cfg))
+            again = DecisionTree.from_dict(json.loads(json.dumps(tree.to_dict())))
+            for t in (tree, again):
+                assert t.n_classes == t.histogram.shape[1] == k
 
     def test_signed_zero_threshold_saved_the_same_for_any_row_order(self):
         # the only split falls between tied -0.0 and 0.0 values, whose sorted
