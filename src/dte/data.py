@@ -1,6 +1,6 @@
 """Dataset ingestion, the columnar CSV reader (``fit_schema`` and ``encode`` over a
-tuple of ``Column``), the checks of fitted models' rows (``feature_rows``) and saved
-arrays (``json_numbers``), stratified folds, and bootstrap resampling."""
+tuple of ``Column``), the checks of class ids (``class_sizes``), models' rows
+(``feature_rows``) and saved arrays (``json_numbers``), stratified folds and bootstraps."""
 
 from __future__ import annotations
 
@@ -78,13 +78,7 @@ class Dataset:
             raise DataError("labels must be one value per row")
         if not np.all(np.isfinite(X)):
             raise DataError("features contain non-finite values")
-        k = int(y.max(initial=0))
-        if y.min(initial=1) < 1:
-            raise DataError("class ids must be >= 1")
-        present = np.bincount(y, minlength=k + 1)[1:]
-        if np.any(present == 0):
-            missing = int(np.flatnonzero(present == 0)[0]) + 1
-            raise DataError(f"class {missing} has no samples")
+        k = len(class_sizes(y))
         if len(self.schema) != X.shape[1]:
             raise DataError("schema length must match feature count")
         if len(self.label_names) != k:
@@ -106,6 +100,17 @@ class Dataset:
         """Dataset restricted to the given rows (classes must all survive)."""
         return Dataset(self.features[rows], self.labels[rows], self.schema,
                        self.label_names, self.label_column)
+
+
+def class_sizes(labels: np.ndarray) -> np.ndarray:
+    """Rows per class 1..K of int64 labels; rejects no rows, an id below 1, an empty class."""
+    k = int(labels.max(initial=0))
+    if k < 1 or labels.min(initial=1) < 1:
+        raise DataError("class ids must be >= 1")
+    counts = np.bincount(labels, minlength=k + 1)[1:]
+    if not counts.all():   # the first empty class is the first minimum
+        raise DataError(f"class {int(np.argmin(counts)) + 1} has no samples")
+    return counts
 
 
 def from_arrays(X, y, label_column: str = "label") -> Dataset:
@@ -366,8 +371,7 @@ def stratified_folds(ds: Dataset, replicates: int, folds: int, seed: int) -> Fol
         raise DataError("folds must be >= 2")
     if replicates < 1:
         raise DataError("replicates must be >= 1")
-    counts = np.bincount(ds.labels, minlength=ds.n_classes + 1)[1:]
-    for c, cnt in enumerate(counts, start=1):
+    for c, cnt in enumerate(class_sizes(ds.labels), start=1):
         if cnt < folds:
             raise DataError(f"class {ds.label_names[c - 1]!r} has {cnt} rows, "
                             f"fewer than folds={folds}")

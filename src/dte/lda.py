@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import feature_rows, json_numbers, json_object
+from .data import class_sizes, feature_rows, json_numbers, json_object
+from .embed import _leaf_means
 
 # predict_lda scores a batch class-major when it has at least _CLASS_MAJOR_ROWS rows;
 # below that numpy's per-row loops over the K classes cost less (on a 2-vCPU x86-64
@@ -79,25 +80,17 @@ def fit_lda(Z, labels) -> LdaModel:
     y = np.asarray(labels, dtype=np.int64)
     if Z.ndim != 2 or Z.shape[1] < 1:
         raise ValueError("Z must be (n, d) with d >= 1")
-    n, d = Z.shape
+    n = len(Z)
     if y.shape != (n,):
         raise ValueError("labels must be one value per row")
-    k = int(y.max(initial=0))
-    if k < 1 or y.min(initial=1) < 1:
-        raise ValueError("class ids must be >= 1")
-    counts = np.bincount(y, minlength=k + 1)[1:]
-    if np.any(counts == 0):
-        missing = int(np.flatnonzero(counts == 0)[0]) + 1
-        raise ValueError(f"class {missing} has no samples")
+    counts = class_sizes(y)
+    k = len(counts)
     if n <= k:
         raise ValueError(f"need more rows ({n}) than classes ({k})")
 
-    means = np.empty((k, d))
-    for c in range(k):
-        means[c] = Z[y == c + 1].mean(axis=0)
+    means = _leaf_means(Z, y - 1, k)   # class c's rows as leaf c - 1's
     centered = Z - means[y - 1]
-    cov = centered.T @ centered / (n - k)
-    cov = (cov + cov.T) / 2.0
+    cov = centered.T @ centered / (n - k)   # numpy's syrk: symmetric bit for bit
 
     cov_pinv = _spectral_pinv(cov)
     log_priors = np.log(counts / n)
@@ -114,9 +107,7 @@ def _spectral_pinv(cov: np.ndarray) -> np.ndarray:
     lam_max = max(float(w[-1]), 0.0)
     tau = d * np.finfo(np.float64).eps * lam_max
     keep = w > tau
-    if not keep.any():
-        return np.zeros_like(cov)
-    vk = v[:, keep]
+    vk = v[:, keep]   # no column when nothing is kept: the product is then zero
     pinv = (vk / w[keep]) @ vk.T
     return (pinv + pinv.T) / 2.0
 

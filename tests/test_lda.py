@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from dte import LdaModel, discriminant_scores, fit_lda, predict_lda
+from dte import LdaModel, discriminant_scores, fit_lda, from_arrays, predict_lda
+from dte.data import class_sizes
 
 
 def pinv_2x2_closed_form(S):
@@ -109,6 +111,21 @@ class TestFitLda:
             fit_lda(np.zeros((3, 0)), [1, 1, 2])
         with pytest.raises(ValueError, match="more rows"):
             fit_lda(np.zeros((2, 2)), [1, 2])
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [1, 1, 3], []])
+    def test_labels_rejected_as_a_dataset_rejects_them(self, labels):
+        # one row per label, and a row for no labels, so that the label checks speak
+        X = np.zeros((max(len(labels), 1), 1))
+        with pytest.raises(ValueError) as from_dataset:
+            from_arrays(X, np.array(labels, dtype=np.int64))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(from_dataset.value))}$"):
+            fit_lda(X, labels)
+
+    def test_no_rows_have_no_class_ids(self):
+        for reject in (lambda: fit_lda(np.zeros((0, 1)), []),
+                       lambda: class_sizes(np.zeros(0, dtype=np.int64))):
+            with pytest.raises(ValueError, match="^class ids must be >= 1$"):
+                reject()
 
     def test_deterministic(self, rng):
         Z, y = random_instance(rng)

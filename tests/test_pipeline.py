@@ -11,6 +11,7 @@ from dte import (DteClassifier, Embedding, LdaModel, TreeConfig, cross_validate,
                  discriminant_scores, fit, fit_lda, fit_tree, from_arrays, load_csv, predict,
                  predict_lda, project, timing_sweep)
 from dte import tree as tree_module
+from dte.cli import main as cli_main
 from dte.data import stratified_folds
 from dte.oracle import sample_mixture, three_cluster_spec
 from dte.tree import fit_trees_arrays
@@ -220,6 +221,66 @@ class TestAnchorSpanIdentity:
     def test_matches_z_space_lda_on_deep_trees(self):
         # one ~500-leaf tree; the Z-space side holds 20k x m floats twice
         self.check(*_deep_mixture(), 1)
+
+
+CORNERS = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+
+
+class TestDegenerateInputs:
+    """Inputs at the edge of the method fit and predict, and ``dte train`` /
+    ``dte predict`` on their CSV reproduce the in-process labels."""
+
+    @staticmethod
+    def fit_and_round_trip(tmp_path, X, y, t, seed):
+        path = tmp_path / "train.csv"
+        header = ",".join(f"x{j}" for j in range(X.shape[1]))
+        path.write_text(header + ",y\n" + "".join(
+            ",".join(map(repr, row)) + f",c{c}\n" for row, c in zip(X.tolist(), y)))
+        (tmp_path / "features.csv").write_text(header + "\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in X.tolist()))
+        ds = load_csv(path, "y")
+        assert np.array_equal(ds.features, X) and np.array_equal(ds.labels, y)
+        clf = fit(ds, TreeConfig(), t, seed)
+        labels = predict(clf, X)
+        argv = ["train", "--data", str(path), "--label", "y", "--trees", str(t),
+                "--seed", str(seed), "--out", str(tmp_path / "model.json")]
+        assert cli_main(argv) == 0
+        assert cli_main(["predict", "--model", str(tmp_path / "model.json"), "--data",
+                         str(tmp_path / "features.csv"), "--out", str(tmp_path / "p.csv")]) == 0
+        written = (tmp_path / "p.csv").read_text().split()
+        assert written[1:] == [ds.label_names[c - 1] for c in labels]
+        return clf, labels
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_one_row_class(self, tmp_path, t):
+        # a bootstrap resample of these 60 rows misses the one row of class 3 about 36% of the time
+        y = np.array([1] * 30 + [2] * 29 + [3])
+        X = CORNERS[y - 1] + np.random.default_rng(7).normal(size=(60, 2))
+        clf, labels = self.fit_and_round_trip(tmp_path, X, y, t, seed=5)
+        # at seed 5 the second resample misses class 3: its tree's histograms hold no row of it
+        sizes = [int(tree.histogram[:, 2].sum()) for tree in clf.embedding.trees]
+        assert sizes[0] == 1 and (t == 1 or sizes[2] == 0)
+        assert clf.lda.log_priors[2] == np.log(1 / 60)
+        assert np.mean(labels == y) > 0.9
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_constant_column(self, tmp_path, t):
+        y = np.repeat([1, 2, 3], 20)
+        X = CORNERS[y - 1] + np.random.default_rng(7).normal(size=(60, 2))
+        X = np.insert(X, 1, 2.5, axis=1)   # a constant column between the two informative ones
+        clf, labels = self.fit_and_round_trip(tmp_path, X, y, t, seed=0)
+        assert np.all(clf.embedding.anchors[:, 1] == 2.5)
+        assert np.mean(labels == y) > 0.9
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_zero_within_class_scatter_falls_back_to_the_priors(self, tmp_path, t):
+        # one integer point per class; with p = 1 the span basis is +-1, so every
+        # class mean is exact and the pooled covariance is 0
+        y = np.repeat([1, 2, 3], [10, 25, 15])
+        X = np.array([0.0, 4.0, 8.0])[y - 1][:, None]
+        clf, labels = self.fit_and_round_trip(tmp_path, X, y, t, seed=0)
+        assert np.array_equal(clf.lda.cov_pinv, np.zeros((1, 1)))
+        assert np.all(labels == 2)   # the largest class: 25 of 50 rows
 
 
 class TestCrossValidate:
