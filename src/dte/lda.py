@@ -1,9 +1,9 @@
 """Linear discriminant analysis with a pseudoinverse pooled covariance.
 
-Valid under rank deficiency: the pooled within-class covariance is
-eigendecomposed and eigenvalues at or below d * eps * lambda_max are
-truncated. If every class is constant the covariance is zero and
-prediction falls back to priors.
+Valid under rank deficiency: the pinv of the pooled within-class covariance is the
+Gram product of its eigenvectors scaled by 1/sqrt(lambda), kept where lambda exceeds
+d * eps * lambda_max. It is zero, and prediction falls back to priors, only when each
+class's rows equal its computed mean; rounding noise is kept as within-class scatter.
 """
 
 from __future__ import annotations
@@ -98,18 +98,12 @@ def fit_lda(Z, labels) -> LdaModel:
 
 
 def _spectral_pinv(cov: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a symmetric PSD matrix.
-
-    Eigenvalues <= d * eps * lambda_max are treated as numerically zero.
-    """
-    d = cov.shape[0]
+    """Moore-Penrose pseudoinverse of a symmetric PSD matrix, with eigenvalues
+    <= d * eps * lambda_max treated as numerically zero."""
     w, v = np.linalg.eigh(cov)
-    lam_max = max(float(w[-1]), 0.0)
-    tau = d * np.finfo(np.float64).eps * lam_max
-    keep = w > tau
-    vk = v[:, keep]   # no column when nothing is kept: the product is then zero
-    pinv = (vk / w[keep]) @ vk.T
-    return (pinv + pinv.T) / 2.0
+    keep = w > cov.shape[0] * np.finfo(np.float64).eps * max(float(w[-1]), 0.0)
+    vk = v[:, keep] / np.sqrt(w[keep])   # no column when nothing is kept: the product is zero
+    return vk @ vk.T   # numpy's syrk: symmetric bit for bit
 
 
 def _class_scores(model: LdaModel, Z: np.ndarray) -> np.ndarray:

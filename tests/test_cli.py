@@ -639,6 +639,16 @@ class TestVerifyTheory:
         report = json.loads(out.read_text())
         assert all(rec["deviation"] == 0.0 for rec in report["instances"])
 
+    def test_a_failed_instance_exits_1(self, tmp_path, capsys, monkeypatch):
+        failing = {"instance_seed": 0, "epsilon": 0.0, "deviation": 0.0, "bound_ok": False,
+                   "Lg_classifier": 0.0, "Lg_formula": 0.0, "hypothesis_ok": False}
+        monkeypatch.setattr("dte.cli.verify_instance", lambda *args, **kwargs: failing)
+        out = tmp_path / "verify.json"
+        assert run("verify-theory", "--instances", "3", "--out", str(out)) == 1
+        assert "verified 3 instances, 3 failures" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert (report["failures"], report["ok"]) == (3, False)
+
 
 class TestUsage:
     @pytest.mark.parametrize("argv, message", [

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dte import DataError, bootstrap, from_arrays, load_csv, stratified_folds
+from dte.data import Dataset, FoldPlan
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -93,6 +96,16 @@ class TestDataset:
         ds = from_arrays([[1.0], [2.0]], [1, 1])
         assert ds.n_classes == 1
 
+    @pytest.mark.parametrize("columns, names, message", [
+        (1, 2, "schema length must match feature count"),
+        (2, 1, "label_names must have one entry per class"),
+        (2, 3, "label_names must have one entry per class"),
+    ])
+    def test_schema_and_label_names_must_fit(self, columns, names, message):
+        ds = from_arrays([[1.0, 2.0], [3.0, 4.0]], [1, 2])
+        with pytest.raises(DataError, match=f"^{message}$"):
+            Dataset(ds.features, ds.labels, ds.schema[:columns], ("a", "b", "c")[:names])
+
 
 class TestStratifiedFolds:
     def test_exact_divisibility(self):
@@ -132,6 +145,24 @@ class TestStratifiedFolds:
             for c in range(1, len(class_sizes) + 1):
                 counts = np.bincount(plan.assignments[r][ds.labels == c], minlength=folds)
                 assert counts.max() - counts.min() <= 1
+
+    @pytest.mark.parametrize("assignments, message", [
+        ([0, 1, 0, 1], "assignments must be (replicates, n)"),
+        ([[0, 2, 1, 0]], "fold ids out of range"),
+        ([[0, -1, 1, 0]], "fold ids out of range"),
+    ], ids=["one-dimensional", "above", "below"])
+    def test_fold_plan_rejects(self, assignments, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            FoldPlan(np.array(assignments), folds=2)
+
+    @pytest.mark.parametrize("replicates, folds, message", [
+        (1, 1, "folds must be >= 2"),
+        (0, 2, "replicates must be >= 1"),
+    ])
+    def test_counts_below_their_minimum_rejected(self, replicates, folds, message):
+        ds = from_arrays(np.arange(4)[:, None].astype(float), [1, 1, 2, 2])
+        with pytest.raises(DataError, match=f"^{message}$"):
+            stratified_folds(ds, replicates, folds, seed=0)
 
     def test_small_class_rejected_by_name(self):
         ds = from_arrays(np.arange(8)[:, None].astype(float), [1] * 6 + [2] * 2)

@@ -211,6 +211,14 @@ class TestLeafCounts:
         with pytest.raises(TypeError):
             Embedding(*short, counts, emb.trees)
 
+    def test_anchor_and_intercept_shapes_rejected(self, iris):
+        emb = fit_embedding(iris, TreeConfig(), 1, seed=5)
+        message = r"^anchors must be \(m, p\) with one intercept per row$"
+        for anchors, intercept in ((emb.anchors, emb.intercept[:-1]),
+                                   (emb.anchors.ravel(), emb.intercept)):
+            with pytest.raises(ValueError, match=message):
+                Embedding(anchors, intercept, emb.trees)
+
 
 class TestProject:
     def test_training_matrix_reproduces_fit_embedding(self, wine):

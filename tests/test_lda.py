@@ -97,6 +97,29 @@ class TestFitLda:
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(cov)
         assert np.allclose(model.cov_pinv, model.cov_pinv.T)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pinv_is_symmetric_bit_for_bit(self, seed):
+        # full-rank, rank-deficient and zero-scatter inputs, d from 1, with column
+        # scales from 1e-6 to 1e6 on every other draw
+        rng = np.random.default_rng([seed, 27])
+        for case in range(100):
+            k, d = int(rng.integers(2, 6)), 1 if case % 10 == 0 else int(rng.integers(2, 30))
+            n = int(rng.integers(k + 1, 150))
+            y = rng.integers(1, k + 1, size=n)
+            y[:k] = np.arange(1, k + 1)
+            kind = case % 3
+            if kind == 0:
+                Z = rng.normal(size=(n, d))
+            elif kind == 1:   # rank below d, or a constant column at d = 1
+                r = int(rng.integers(1, d)) if d > 1 else 1
+                Z = rng.normal(size=(n, r)) @ rng.normal(size=(r, d)) if d > 1 else np.ones((n, 1))
+            else:   # every row at its class's centre
+                Z = rng.normal(size=(k, d))[y - 1]
+            if case % 2:
+                Z = Z * 10.0 ** rng.uniform(-6, 6, size=d)
+            pinv = fit_lda(Z, y).cov_pinv
+            assert same_bits(pinv, pinv.T), (seed, case)
+
     def test_priors_are_empirical_frequencies(self, rng):
         Z, y = random_instance(rng, n=90)
         model = fit_lda(Z, y)

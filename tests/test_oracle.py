@@ -213,9 +213,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="distributions"):
             tiny_joint([[0.0]], [1.0], [[0.7, 0.7]])
 
+    @pytest.mark.parametrize("points, weights, cond", [
+        ([0.0, 1.0], [0.5, 0.5], [[1.0], [1.0]]),
+        ([[0.0], [1.0]], [1.0], [[1.0], [1.0]]),
+        ([[0.0], [1.0]], [0.5, 0.5], [[1.0]]),
+    ], ids=["points", "weights", "conditionals"])
+    def test_joint_shapes_rejected(self, points, weights, cond):
+        message = "points (N,p), weights (N,), conditionals (N,K) required"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tiny_joint(points, weights, cond)
+
     def test_partition_invariants(self):
         with pytest.raises(ValueError, match="nonempty|at least one"):
             Partition([0, 0, 2])
+
+    @pytest.mark.parametrize("regions", [[], [[0, 1]], [0, -1]], ids=["empty", "2-D", "negative"])
+    def test_partition_regions_rejected(self, regions):
+        with pytest.raises(ValueError,
+                           match="^regions must be a non-empty vector of ids >= 0$"):
+            Partition(regions)
 
     @pytest.mark.parametrize("check", [epsilon_homogeneity, population_embedding,
                                        region_posteriors, check_sufficiency,
@@ -249,6 +265,15 @@ class TestGaussianMixture:
         # a class of prior 0 is never drawn, so sampling could only ask for a larger n
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             GaussianMixtureSpec(np.zeros((2, 2)), 1.0, np.array([1, 2]), np.array(priors))
+
+    @pytest.mark.parametrize("classes, message", [
+        ([1], "one class id per component required"),
+        ([1, 3], "component class ids must lie in 1..K"),
+        ([0, 1], "component class ids must lie in 1..K"),
+    ], ids=["count", "above", "below"])
+    def test_component_classes_rejected(self, classes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GaussianMixtureSpec(np.zeros((2, 2)), 1.0, np.array(classes), np.array([0.5, 0.5]))
 
     def test_sample_missing_a_class_is_rejected(self):
         # seed 5 draws two class-2 points: class 1, not the highest class, is missed
@@ -315,3 +340,7 @@ class TestBayesAccuracy:
     def test_requires_positive_sigma(self):
         with pytest.raises(ValueError, match="sigma"):
             bayes_accuracy(three_cluster_spec(sigma=0.0), 10, 0)
+
+    def test_requires_a_draw(self):
+        with pytest.raises(ValueError, match="^n_mc must be >= 1$"):
+            bayes_accuracy(three_cluster_spec(), 0, 0)

@@ -87,10 +87,12 @@ class TestFitTree:
         assert tree.n_leaves == 1
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^min_leaf_size must be >= 1$"):
             TreeConfig(min_leaf_size=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^num_bins must be >= 2$"):
             TreeConfig(num_bins=1)
+        with pytest.raises(ValueError, match="^max_depth must be >= 0 or None$"):
+            TreeConfig(max_depth=-1)
 
 
 class TestApply:
