@@ -47,8 +47,7 @@ def quartiles(values):
         return None
     if len(values) == 1:
         return (values[0],) * 3
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def summarize(pairs, better):
