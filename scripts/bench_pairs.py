@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Alternating perfbench pairs of two commits, appended to BENCH_<workload>.json.
 
-    python3 scripts/bench_pairs.py --base REV [--head REV] [--pairs 10]
-        [--seconds 30] [--seed N] [--workload W ...]
+    python3 scripts/bench_pairs.py --base REV [--head REV] [--seed N]
+        [--workload W ...]
 
 Each commit is extracted with ``git archive`` into its own temporary
 directory, and from each copy's root every run is
 
     python3 perfbench/run.py --workload W --seed N --seconds S --trace 0
 
-Odd pairs run the base first, even pairs the head. A run that exits non-zero,
+with S the ``run_seconds`` of ``BENCHMARK.json``. Each workload gets ten pairs;
+odd pairs run the base first, even pairs the head. A run that exits non-zero,
 or whose last line of output is not a JSON object, is recorded as failed and
 reported; it is never retried. For each workload one entry is appended to
 ``BENCH_<workload>.json`` at the repository root: both commit ids, the host,
@@ -35,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 RATE_NOTE = ("perfbench scales every rate by a pure-Python reference loop timed after each "
              "sample, and that loop runs slower after a large free, so a change that frees "
              "less memory reads slower on every rate of its workload (CHANGES.md, the FOUND "
@@ -136,13 +138,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True)
     parser.add_argument("--head", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=float(bench["run_seconds"]))
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--workload", nargs="+", choices=names, default=names)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
+    seconds = float(bench["run_seconds"])
 
     commits = {side: _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
                for side, rev in (("base", args.base), ("head", args.head))}
@@ -157,18 +156,18 @@ def main(argv=None) -> int:
             extract(commit, copies[side])
         for workload in args.workload:
             runs, pairs = [], []
-            for pair in range(1, args.pairs + 1):
+            for pair in range(1, PAIRS + 1):
                 order = ("base", "head") if pair % 2 else ("head", "base")
                 got = {}
                 for side in order:
                     t0 = time.perf_counter()
-                    run, reason = run_once(copies[side], workload, args.seed, args.seconds,
+                    run, reason = run_once(copies[side], workload, args.seed, seconds,
                                            better)
                     runs.append({"pair": pair, "side": side, "reason": reason, **(run or {})})
                     if reason is not None:
                         failures.append(f"{workload} pair {pair} {side}: {reason}")
                     got[side] = run and run["metrics"]
-                    print(f"{workload} pair {pair}/{args.pairs} {side}: "
+                    print(f"{workload} pair {pair}/{PAIRS} {side}: "
                           f"{'ok' if reason is None else 'FAILED ' + reason} "
                           f"({time.perf_counter() - t0:.0f} s)", file=sys.stderr, flush=True)
                 pairs.append((got["base"], got["head"]))
@@ -178,8 +177,8 @@ def main(argv=None) -> int:
             entry = {"base": commits["base"], "head": commits["head"],
                      "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                      "host": host,
-                     "params": {"workload": workload, "pairs": args.pairs,
-                                "seconds": args.seconds, "seed": args.seed, "trace": 0},
+                     "params": {"workload": workload, "pairs": PAIRS,
+                                "seconds": seconds, "seed": args.seed, "trace": 0},
                      "note": RATE_NOTE, "runs": runs, "failed_ops": failed_ops,
                      "summary": summary}
             path = ROOT / f"BENCH_{workload}.json"

@@ -3,13 +3,17 @@
 perfbench's cli-shallow workload trains ``dte`` on a 30,000-row CSV of three
 Gaussian classes in 20 columns plus a categorical ``color`` column, then
 predicts 60,000 held-out rows. This writes the same two files as its seed-1
-set-up, without importing perfbench, runs ``dte train --seed 1`` and
-``dte predict`` on them, and pins, as ``test_model_golden.py`` does:
+set-up, runs ``dte train --seed 1`` and ``dte predict`` on them, and pins,
+as ``test_model_golden.py`` does:
 
 * the SHA-256 of the model JSON without its ``lda`` block;
 * the Frobenius norm of each ``lda`` array, at a relative 1e-9, since their
   last bits follow the BLAS kernel OpenBLAS picks;
 * the SHA-256 of the predictions file.
+
+The generator is a copy of perfbench's, not an import of
+``perfbench/workloads.py``, so that the pinned inputs, and with them the pins,
+stay fixed when the benchmark's workloads are reshaped.
 
 Regenerate the pins only for a deliberate change of the method or the model
 format:
