@@ -351,6 +351,8 @@ class FoldPlan:
         object.__setattr__(self, "assignments", a)
         if a.ndim != 2:
             raise DataError("assignments must be (replicates, n)")
+        if a.size == 0:
+            raise DataError(f"fold plan assignments must be non-empty, got shape {a.shape}")
         if a.min() < 0 or a.max() >= self.folds:
             raise DataError("fold ids out of range")
 

@@ -43,7 +43,7 @@ class DiscreteJoint:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "conditionals", c)
-        if pts.ndim != 2 or w.shape != (pts.shape[0],) or c.shape[0] != pts.shape[0]:
+        if pts.ndim != 2 or w.shape != (pts.shape[0],) or c.ndim != 2 or c.shape[0] != pts.shape[0]:
             raise ValueError("points (N,p), weights (N,), conditionals (N,K) required")
         if np.any(w <= 0):
             raise ValueError("support weights must be strictly positive")

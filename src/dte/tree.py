@@ -10,28 +10,28 @@ x[j] < threshold -> left, else right. A node is a leaf when it holds fewer
 than 2 * min_leaf_size rows, is pure, or sits at max_depth.
 
 Growth is level by level on presorted columns. Each feature's rows are sorted
-once, at the root, as in SLIQ (Mehta, Agrawal & Rissanen, 1996), and a
-level's lists hold, per feature, each node's row ids in that order. All nodes
-of a depth are searched together, like LightGBM's node-parallel split search
-(Ke et al., 2017), on one grid of nodes x features x candidate ranks that the
+once, at the root, as in SLIQ (Mehta, Agrawal & Rissanen, 1996), and a level's
+lists hold, per feature, each node's row ids in that order. All nodes of a
+depth are searched together, like LightGBM's node-parallel split search (Ke et
+al., 2017), on one grid of nodes x features x candidate ranks that the
 candidates keep through scoring: a candidate on a run of tied values bisects
 its node's values, class counts come class-major from one prefix sum per list
 row, and a dead cell (outside its node's range, or leaving too few rows on a
 side) scores -inf. Cells with equal left sizes on one node and feature score
 the same bits, so the first maximum keeps the lowest threshold without a
-dedupe. A split marks each row's side in one n-entry array and partitions
-each list stably into the children's segments, so no node sorts again, and a
-child that is already a leaf leaves the lists. Growth records each split and
-each leaf as it makes them, and a leaf writes its node number onto its rows,
-which its segment of the lists names; one walk over the records then lays out
-each tree's pre-order lists (the model file's layout) and numbers its leaves,
-so growth ends knowing each training row's leaf id. The candidates use the
-same floating-point arithmetic as a search over each node's own sorted
-values, and each cell's score is one division of exact integer sums of
-squared class counts, so equal decreases tie exactly and growing node by
-node with exact Gini decreases gives the same trees (provably so at nodes
-under about 2,300 rows, see _best_splits); tests/test_tree_golden.py pins
-them, taken from such a grower (tests/reference_tree.py).
+dedupe. Each row carries the id of the node it is in, overwritten as the row
+enters a child, and a row whose node stops keeps that id as its leaf. A split
+reads each row's side from a table over node ids and partitions each list
+stably into the children's segments, so no node sorts again, and a child that
+is already a leaf leaves the lists. One walk over the recorded splits then
+lays out each tree's pre-order lists (the model file's layout) and numbers its
+leaves, so growth ends knowing each training row's leaf id. The candidates use
+the same floating-point arithmetic as a search over each node's own sorted
+values, and each cell's score is one division of exact integer sums of squared
+class counts, so equal decreases tie exactly and growing node by node with
+exact Gini decreases gives the same trees (provably so at nodes under about
+2,300 rows, see _best_splits); tests/test_tree_golden.py pins them, taken from
+such a grower (tests/reference_tree.py).
 
 The trees of several samples (the folds of a cross-validation) grow together:
 their roots are just more nodes of each level. Each root's rows are sorted on
@@ -284,7 +284,7 @@ def _grow(X, y0, rows, sizes, counts, cfg):
 
     Root r owns the rows rows[sizes[:r].sum():sizes[:r + 1].sum()] of (X, y0).
     """
-    n, p = len(rows), X.shape[1]
+    p = X.shape[1]
     col = _Columns(X, y0, rows, counts.shape[1])
     del rows   # the columns hold what growth reads of the batch's rows
     # Row j of `lists` holds, for each node of the level, the node's training
@@ -293,14 +293,13 @@ def _grow(X, y0, rows, sizes, counts, cfg):
     lists = col.sorted_rows(sizes)
     starts = sizes.cumsum() - sizes
     # nodes are numbered as they are made, the roots first, so node_counts
-    # holds their class counts in order; node_at holds the leaf node of each row id
+    # holds their class counts in order; node_at holds the node each row id is in
     ids, n_nodes, root_sizes = np.arange(len(sizes)), len(sizes), sizes
-    splits, node_counts, node_at = [], [counts], np.empty(n, dtype=np.int64)
+    splits, node_counts, node_at = [], [counts], ids.repeat(sizes)
     depth = 0
     while ids.size:
         feat, thr, left_n, left_counts = _best_splits(col, lists, starts, sizes, counts, cfg)
         split = (feat >= 0).nonzero()[0]
-        stay = (feat < 0).nonzero()[0]
 
         # children: the lefts of the split nodes in node order, then the rights
         child_ids = np.arange(n_nodes, n_nodes + 2 * len(split))
@@ -316,23 +315,17 @@ def _grow(X, y0, rows, sizes, counts, cfg):
         node_counts.append(child_counts)
         keep = _search_runs(child_sizes, child_counts, depth + 1, cfg)
 
-        # children that stop, and searched nodes that found no split, become
-        # leaves; a segment of the lists names each one's rows (a child's on its
-        # parent's split feature, a searched node's on feature 0)
-        drop, flat = (~keep).nonzero()[0], lists.ravel()
-        leaf_sizes = np.concatenate([child_sizes[drop], sizes[stay]])
-        leaf_start = np.concatenate([child_start[drop], starts[stay]])
-        leaf_nodes = np.concatenate([child_ids[drop], ids[stay]])
-        node_at[flat[_entries(leaf_start, leaf_sizes)]] = leaf_nodes.repeat(leaf_sizes)
+        # rows enter their child; a row whose node stops or finds no split keeps its id
+        flat = lists.ravel()
+        node_at[flat[_entries(child_start, child_sizes)]] = child_ids.repeat(child_sizes)
 
         # stable partition of every row of `lists` into the kept children's entries
         kept = keep.nonzero()[0]
         sizes, counts = child_sizes[kept], child_counts[kept]
         starts = sizes.cumsum() - sizes
-        side = np.zeros(n, dtype=np.int8)  # 1: row goes to a kept left child, 2: kept right
-        side[flat[_entries(child_start[kept], sizes)]] = \
-            np.where(kept < len(split), 1, 2).astype(np.int8).repeat(sizes)
-        side_at = side[flat]
+        side = np.zeros(n_nodes, dtype=np.int8)  # 1: a kept left child, 2: a kept right
+        side[child_ids[kept]] = np.where(kept < len(split), 1, 2)
+        side_at = side[node_at[flat]]
         halves = [flat.compress(side_at == 1).reshape(p, -1),
                   flat.compress(side_at == 2).reshape(p, -1)]
         del lists, flat, side_at   # the level's lists go before the children's are joined

@@ -150,7 +150,11 @@ class TestStratifiedFolds:
         ([0, 1, 0, 1], "assignments must be (replicates, n)"),
         ([[0, 2, 1, 0]], "fold ids out of range"),
         ([[0, -1, 1, 0]], "fold ids out of range"),
-    ], ids=["one-dimensional", "above", "below"])
+        (np.zeros((1, 0), dtype=np.int64),
+         "fold plan assignments must be non-empty, got shape (1, 0)"),
+        (np.zeros((0, 4), dtype=np.int64),
+         "fold plan assignments must be non-empty, got shape (0, 4)"),
+    ], ids=["one-dimensional", "above", "below", "no rows", "no replicates"])
     def test_fold_plan_rejects(self, assignments, message):
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             FoldPlan(np.array(assignments), folds=2)

@@ -217,7 +217,8 @@ class TestValidation:
         ([0.0, 1.0], [0.5, 0.5], [[1.0], [1.0]]),
         ([[0.0], [1.0]], [1.0], [[1.0], [1.0]]),
         ([[0.0], [1.0]], [0.5, 0.5], [[1.0]]),
-    ], ids=["points", "weights", "conditionals"])
+        ([[0.0]], [1.0], [1.0]),
+    ], ids=["points", "weights", "conditionals", "1-D conditionals"])
     def test_joint_shapes_rejected(self, points, weights, cond):
         message = "points (N,p), weights (N,), conditionals (N,K) required"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

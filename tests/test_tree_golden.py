@@ -3,13 +3,14 @@
 Each case pins the SHA-256 of ``json.dumps(nested(tree.to_dict()))``
 (structure, features, thresholds, histograms) and of the training rows each
 leaf holds (routed by ``apply``; ascending within a leaf, leaves in id
-order). The pins come from the exact per-node reference grower in
-reference_tree.py, which scores each candidate's Gini decrease as a
-fraction, and not from the level-wise grower they test. ``nested`` rebuilds
-the nested form ``to_dict`` once had from the flat pre-order lists, so the
-pins cover every saved value. Any change to a split, a threshold bit, the
-leaf numbering or a leaf's rows fails here. Regenerate the pins only for a
-deliberate change of the split rule, with:
+order); each case also checks that the leaf ids the grower hands back are
+the ones ``apply`` routes the rows to. The pins come from the exact per-node
+reference grower in reference_tree.py, which scores each candidate's Gini
+decrease as a fraction, and not from the level-wise grower they test.
+``nested`` rebuilds the nested form ``to_dict`` once had from the flat
+pre-order lists, so the pins cover every saved value. Any change to a split,
+a threshold bit, the leaf numbering or a leaf's rows fails here. Regenerate
+the pins only for a deliberate change of the split rule, with:
 
     PYTHONPATH=src python tests/test_tree_golden.py
 
@@ -253,7 +254,11 @@ PINS = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_tree_matches_golden_digests(name):
-    assert tree_digests(*_fit(name)) == PINS[name]
+    leaf_ids = []
+    tree, X = _fit(name, lambda *args: fit_tree_arrays(*args, leaf_ids=leaf_ids))
+    assert tree_digests(tree, X) == PINS[name]
+    (grown,) = leaf_ids   # the leaf the grower put each row in is the one apply routes it to
+    np.testing.assert_array_equal(grown, tree.apply(X))
 
 
 if __name__ == "__main__":
