@@ -325,7 +325,7 @@ def _grow(X, y0, rows, sizes, counts, cfg):
         starts = sizes.cumsum() - sizes
         side = np.zeros(n_nodes, dtype=np.int8)  # 1: a kept left child, 2: a kept right
         side[child_ids[kept]] = np.where(kept < len(split), 1, 2)
-        side_at = side[node_at[flat]]
+        side_at = side[node_at][flat]   # per row id, then an int8 gather over the lists
         halves = [flat.compress(side_at == 1).reshape(p, -1),
                   flat.compress(side_at == 2).reshape(p, -1)]
         del lists, flat, side_at   # the level's lists go before the children's are joined
