@@ -161,7 +161,6 @@ def cmd_simulate(args) -> int:
     cfg = _tree_config(args)
 
     records = []
-    dump_done = False
     for r in range(args.repeats):
         train_seed, test_seed = np.random.SeedSequence([args.seed, r]).spawn(2)
         train, comps = sample_mixture(spec, args.n, train_seed, return_components=True)
@@ -180,14 +179,13 @@ def cmd_simulate(args) -> int:
         records.append({"train_acc": z_train_acc, "test_acc": z_test_acc,
                         "oracle_train_acc": o_train_acc, "oracle_test_acc": o_test_acc,
                         "m": clf.embedding.m})
-        if args.dump and not dump_done:
+        if args.dump and r == 0:   # the first repeat's training embedding
             z = project(clf.embedding, train.features)
             with open(args.dump, "w", newline="", encoding="utf-8") as fh:
                 w = csv.writer(fh)
                 w.writerow([f"z{j}" for j in range(z.shape[1])] + ["label", "cluster"])
                 w.writerows(zip(*[map(repr, col) for col in z.T.tolist()],
                                 train.labels.tolist(), (comps + 1).tolist()))
-            dump_done = True
 
     mean = {key: float(np.mean([rec[key] for rec in records]))
             for key in ("train_acc", "test_acc", "oracle_train_acc", "oracle_test_acc")}

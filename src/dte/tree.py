@@ -98,8 +98,8 @@ class LeafNode:
 class DecisionTree:
     """A fitted tree as the pre-order lists of its model file, like scikit-learn's
     ``tree_``: ``feature`` per node (-1 at a leaf), ``threshold`` per split and
-    ``histogram`` per leaf. A leaf's id is its position among the leaves;
-    ``apply`` routes rows to leaf ids, and ``root`` is the only linked view."""
+    ``histogram`` per leaf, whose position is its id. ``apply`` (rows to leaf ids) and
+    ``root``, the only linked view, both read ``_walk``'s per-node places and right children."""
 
     feature: np.ndarray            # int64, one per node in pre-order
     threshold: np.ndarray          # float64, one per split in pre-order
@@ -118,52 +118,50 @@ class DecisionTree:
     @property
     def root(self) -> Union[SplitNode, LeafNode]:
         """The tree as linked SplitNode and LeafNode objects, built from the last node back."""
-        leaves = (LeafNode(j, self.histogram[j]) for j in range(self.n_leaves - 1, -1, -1))
-        thresholds = iter(self.threshold.tolist()[::-1])
-        built = []   # subtrees awaiting a parent, the next left child last
-        for f in reversed(self.feature.tolist()):
-            built.append(next(leaves) if f < 0 else
-                         SplitNode(f, next(thresholds), built.pop(), built.pop()))
+        feature, threshold, right, place = self._walk
+        built = [None] * len(feature)   # node i's subtree, built after its children's
+        for i in range(len(feature) - 1, -1, -1):
+            built[i] = (LeafNode(place[i], self.histogram[place[i]]) if feature[i] < 0 else
+                        SplitNode(feature[i], threshold[place[i]], built[i + 1], built[right[i]]))
         return built[0]
 
     @cached_property
-    def _walk(self) -> tuple[list, list, list]:
-        """The feature and threshold lists, and per node its right child: the
-        node just past its left subtree (0 at a leaf), found from the last node
-        back, where each split's children have just closed their subtrees.
-
-        A walk carries the running sum of +1 per split and -1 per leaf before
-        each node it visits. At node i, (i + sum) / 2 splits and (i - sum) / 2
-        leaves come before it: its threshold's and its leaf's positions.
-        """
+    def _walk(self) -> tuple[list, list, list, list]:
+        """Per node, its right child (0 at a leaf) and its place (a split's threshold index, a
+        leaf's id), which apply and root read with the feature and threshold lists. From the last
+        node back, the places count down and each split's left subtree has just closed."""
         feature = self.feature.tolist()
-        right, ends = [0] * len(feature), []   # ends of closed subtrees, the latest last
+        right, place, ends = [0] * len(feature), [0] * len(feature), []   # ends of closed subtrees
+        splits, leaves = len(self.threshold), self.n_leaves
         for i in range(len(feature) - 1, -1, -1):
             if feature[i] < 0:
+                leaves -= 1
+                place[i] = leaves
                 ends.append(i + 1)
             else:   # its left subtree ends where its right child starts
+                splits -= 1
+                place[i] = splits
                 right[i] = ends.pop()
-        return feature, self.threshold.tolist(), right
+        return feature, self.threshold.tolist(), right, place
 
     def apply(self, X) -> np.ndarray | int:
         """Leaf id reached by each row of X (or by a single vector), visiting
         only the nodes that some row reaches."""
         X = np.asarray(X, dtype=np.float64)
         rows = feature_rows(X[None, :] if X.ndim == 1 else X, self.n_features)
-        feature, threshold, right = self._walk
+        feature, threshold, right, place = self._walk
         out = np.empty(rows.shape[0], dtype=np.int64)
-        stack = [(0, 0, np.arange(rows.shape[0]))]   # (node, running sum, rows); left pops first
+        stack = [(0, np.arange(rows.shape[0]))]   # (node, rows); the left child pops first
         while stack:
-            node, before, idx = stack.pop()
+            node, idx = stack.pop()
             if not idx.size:   # no row reaches the subtree
                 continue
             f = feature[node]
             if f < 0:
-                out[idx] = (node - before) // 2
+                out[idx] = place[node]
             else:
-                goes_left = rows[idx, f] < threshold[(node + before) // 2]
-                stack += [(right[node], before, idx[~goes_left]),
-                          (node + 1, before + 1, idx[goes_left])]
+                goes_left = rows[idx, f] < threshold[place[node]]
+                stack += [(right[node], idx[~goes_left]), (node + 1, idx[goes_left])]
         return int(out[0]) if X.ndim == 1 else out
 
     def predict(self, X) -> np.ndarray | int:

@@ -4,7 +4,9 @@ Each case pins the SHA-256 of ``json.dumps(nested(tree.to_dict()))``
 (structure, features, thresholds, histograms) and of the training rows each
 leaf holds (routed by ``apply``; ascending within a leaf, leaves in id
 order); each case also checks that the leaf ids the grower hands back are
-the ones ``apply`` routes the rows to. The pins come from the exact per-node
+the ones ``apply`` routes the rows to, that routing single rows agrees with
+routing the batch, and that the linked view ``root`` hashes to the same tree
+digest. The pins come from the exact per-node
 reference grower in reference_tree.py, which scores each candidate's Gini
 decrease as a fraction, and not from the level-wise grower they test.
 ``nested`` rebuilds the nested form ``to_dict`` once had from the flat
@@ -30,7 +32,7 @@ import numpy as np
 import pytest
 
 from dte import TreeConfig, bootstrap, load_csv
-from dte.tree import fit_tree_arrays
+from dte.tree import LeafNode, fit_tree_arrays
 from reference_tree import reference_tree
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -161,6 +163,22 @@ def nested(flat: dict) -> dict:
     return out
 
 
+def linked(tree) -> dict:
+    """The form ``nested`` builds, read instead from the linked view ``tree.root``
+    by an iterative walk, so any depth converts."""
+    out = {key: value for key, value in tree.to_dict().items()
+           if key in ("n_features", "n_classes", "config")}
+    stack = [(out, "root", tree.root)]
+    while stack:
+        parent, key, node = stack.pop()
+        if isinstance(node, LeafNode):
+            parent[key] = {"leaf_id": node.leaf_id, "histogram": node.histogram.tolist()}
+        else:
+            parent[key] = split = {"feature": node.feature, "threshold": node.threshold}
+            stack += [(split, "right", node.right), (split, "left", node.left)]
+    return out
+
+
 def tree_digests(tree, X) -> tuple[str, str]:
     """SHA-256 of the tree's nested JSON and of the rows of X its leaves receive."""
     text = json.dumps(nested(tree.to_dict())).encode()
@@ -257,8 +275,11 @@ def test_tree_matches_golden_digests(name):
     leaf_ids = []
     tree, X = _fit(name, lambda *args: fit_tree_arrays(*args, leaf_ids=leaf_ids))
     assert tree_digests(tree, X) == PINS[name]
+    assert hashlib.sha256(json.dumps(linked(tree)).encode()).hexdigest() == PINS[name][0]
+    leaves = tree.apply(X)
     (grown,) = leaf_ids   # the leaf the grower put each row in is the one apply routes it to
-    np.testing.assert_array_equal(grown, tree.apply(X))
+    np.testing.assert_array_equal(grown, leaves)
+    assert [tree.apply(x) for x in X[:64]] == leaves[:64].tolist()
 
 
 if __name__ == "__main__":
