@@ -98,8 +98,8 @@ class LeafNode:
 class DecisionTree:
     """A fitted tree as the pre-order lists of its model file, like scikit-learn's
     ``tree_``: ``feature`` per node (-1 at a leaf), ``threshold`` per split and
-    ``histogram`` per leaf, whose position is its id. ``apply`` (rows to leaf ids) and
-    ``root``, the only linked view, both read ``_walk``'s per-node places and right children."""
+    ``histogram`` per leaf, a leaf's id being its position among the leaves. ``apply``
+    and ``root`` (the only linked view) read ``_walk``'s per-node places and right children."""
 
     feature: np.ndarray            # int64, one per node in pre-order
     threshold: np.ndarray          # float64, one per split in pre-order
@@ -127,9 +127,9 @@ class DecisionTree:
 
     @cached_property
     def _walk(self) -> tuple[list, list, list, list]:
-        """Per node, its right child (0 at a leaf) and its place (a split's threshold index, a
-        leaf's id), which apply and root read with the feature and threshold lists. From the last
-        node back, the places count down and each split's left subtree has just closed."""
+        """The feature and threshold lists, and per node its right child (0 at a leaf) and
+        its place (a split's threshold index, a leaf's id), which apply and root read. From
+        the last node back, the places count down and each split's left subtree has just closed."""
         feature = self.feature.tolist()
         right, place, ends = [0] * len(feature), [0] * len(feature), []   # ends of closed subtrees
         splits, leaves = len(self.threshold), self.n_leaves
