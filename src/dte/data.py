@@ -113,13 +113,13 @@ def class_sizes(labels: np.ndarray) -> np.ndarray:
     return counts
 
 
-def from_arrays(X, y, label_column: str = "label") -> Dataset:
+def from_arrays(X, y) -> Dataset:
     """Wrap plain arrays as a Dataset with a generated numeric schema."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     schema = tuple(Column(f"x{j}", "numeric") for j in range(X.shape[1]))
     names = tuple(str(c) for c in range(1, int(y.max(initial=0)) + 1))
-    return Dataset(X, y, schema, names, label_column)
+    return Dataset(X, y, schema, names)
 
 
 def feature_rows(X, p: int) -> np.ndarray:
@@ -185,7 +185,7 @@ def _parse(cells) -> tuple[np.ndarray, int]:
         return np.fromiter(map(float, cells[:bad]), np.float64, bad), bad
 
 
-def _columns(path, names, cells, lengths, first_line: int, keep=frozenset()) -> list:
+def _columns(path, names, cells, lengths, first_line: int, keep) -> list:
     """Split ``_read`` cells into columns, emptying ``cells`` so that numeric cells are freed.
 
     A column is an array of its values when every cell is a finite number and its

@@ -118,12 +118,6 @@ def _class_scores(model: LdaModel, Z: np.ndarray) -> np.ndarray:
     return scores
 
 
-def discriminant_scores(model: LdaModel, Z) -> np.ndarray:
-    """Per-class discriminant z' S+ M_c - M_c' S+ M_c / 2 + log pi_c, as (q, K): a
-    transposed view of the class-major scores."""
-    return _class_scores(model, feature_rows(Z, model.dim)).T
-
-
 def predict_lda(model: LdaModel, Z) -> np.ndarray:
     """Class ids maximizing the discriminant; ties go to the smallest id.
 

@@ -274,26 +274,6 @@ def nearest_mean_instance(seed, pure=False):
     return DiscreteJoint(points, weights, cond), Partition(regions)
 
 
-def two_class_interval_joint() -> DiscreteJoint:
-    """Uniform 10,000-cell grid discretization of two unit-interval classes on [-1, 1].
-
-    Class 1 is uniform on [-1, 0], class 2 on [0, 1], equal priors; cell
-    centers never sit at 0, so conditionals are one-hot by sign.
-    """
-    n_grid = 10_000
-    centers = -1.0 + (np.arange(n_grid) + 0.5) * (2.0 / n_grid)
-    weights = np.full(n_grid, 1.0 / n_grid)
-    cond = np.zeros((n_grid, 2))
-    cond[centers < 0, 0] = 1.0
-    cond[centers > 0, 1] = 1.0
-    return DiscreteJoint(centers[:, None], weights, cond)
-
-
-def threshold_partition(joint: DiscreteJoint, threshold: float) -> Partition:
-    """Two regions split by x[0] < threshold (region 0) vs >= (region 1)."""
-    return Partition((joint.points[:, 0] >= threshold).astype(np.int64))
-
-
 # ---------------------------------------------------------------------------
 # Gaussian-mixture simulation model
 

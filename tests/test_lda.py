@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from dte import LdaModel, discriminant_scores, fit_lda, from_arrays, predict_lda
-from dte.data import class_sizes
+from dte import LdaModel, fit_lda, from_arrays, predict_lda
+from dte.data import class_sizes, feature_rows
+from dte.lda import _class_scores
 
 
 def pinv_2x2_closed_form(S):
@@ -81,7 +82,7 @@ class TestFitLda:
         cov = centered.T @ centered / (len(Z) - 2)
         expected = pinv_2x2_closed_form(cov)
         assert np.allclose(model.cov_pinv, expected, rtol=1e-10, atol=1e-12)
-        assert np.allclose(discriminant_scores(model, Z),
+        assert np.allclose(_class_scores(model, feature_rows(Z, model.dim)).T,
                            brute_force_scores(model, Z), rtol=1e-12)
 
     def test_pinv_defining_property_on_rank_deficient_input(self, rng):
@@ -224,14 +225,14 @@ class TestInvariances:
 
 
 class TestScoresEqualTheRowMajorRule:
-    """`discriminant_scores` and `predict_lda` give, bit for bit, the scores
+    """`_class_scores` and `predict_lda` give, bit for bit, the scores
     `(Z S+ M' - quad) + log pi` and their `np.argmax` (first maximum, first NaN)
     at every batch size, whatever order they are computed in."""
 
     @staticmethod
     def check(model, Z):
         expected = reference_scores(model, Z)
-        assert same_bits(discriminant_scores(model, Z), expected)
+        assert same_bits(_class_scores(model, feature_rows(Z, model.dim)).T, expected)
         labels = predict_lda(model, Z)
         assert labels.dtype == np.int64
         assert np.array_equal(labels, np.argmax(expected, axis=1) + 1)
@@ -260,7 +261,7 @@ class TestScoresEqualTheRowMajorRule:
         before = {name: id(value) for name, value in vars(model).items()}
         for q in (5000, 30):
             predict_lda(model, rng.normal(size=(q, 10)))
-            discriminant_scores(model, rng.normal(size=(q, 10)))
+            _class_scores(model, feature_rows(rng.normal(size=(q, 10)), model.dim))
         assert {name: id(value) for name, value in vars(model).items()} == before
         assert not any(a.flags.writeable for a in vars(model).values())
 

@@ -3,18 +3,38 @@ import re
 import numpy as np
 import pytest
 
+from dte import oracle
 from dte.oracle import (DiscreteJoint, GaussianMixtureSpec, Partition, bayes_accuracy, check_indicator_error,
                         check_sufficiency, epsilon_homogeneity,
                         nearest_mean_instance, oracle_embedding,
                         population_embedding, random_discrete_instance,
                         region_posteriors, sample_mixture, three_cluster_spec,
-                        threshold_partition, two_class_interval_joint,
                         verify_instance)
 
 
 def tiny_joint(points, weights, cond):
     return DiscreteJoint(np.asarray(points, float), np.asarray(weights, float),
                          np.asarray(cond, float))
+
+
+def two_class_interval_joint() -> DiscreteJoint:
+    """Uniform 10,000-cell grid discretization of two unit-interval classes on [-1, 1].
+
+    Class 1 is uniform on [-1, 0], class 2 on [0, 1], equal priors; cell
+    centers never sit at 0, so conditionals are one-hot by sign.
+    """
+    n_grid = 10_000
+    centers = -1.0 + (np.arange(n_grid) + 0.5) * (2.0 / n_grid)
+    weights = np.full(n_grid, 1.0 / n_grid)
+    cond = np.zeros((n_grid, 2))
+    cond[centers < 0, 0] = 1.0
+    cond[centers > 0, 1] = 1.0
+    return DiscreteJoint(centers[:, None], weights, cond)
+
+
+def threshold_partition(joint: DiscreteJoint, threshold: float) -> Partition:
+    """Two regions split by x[0] < threshold (region 0) vs >= (region 1)."""
+    return Partition((joint.points[:, 0] >= threshold).astype(np.int64))
 
 
 class TestEpsilonHomogeneity:
@@ -138,6 +158,40 @@ class TestIndicatorError:
             assert rep.region_classes.shape == (part.n_regions,)
             assert np.all((1 <= rep.region_classes)
                           & (rep.region_classes <= joint.n_classes))
+
+
+class TestNearestMeanInstance:
+    """The restarts of `nearest_mean_instance`, driven by a support whose starts can
+    leave a region without points: a start picks 3 of the 20 points as anchors."""
+
+    @staticmethod
+    def use_support(monkeypatch, points):
+        drawn = []   # the instance's generator, to count its draws afterwards
+
+        def support(rng):
+            drawn.append(rng)
+            return points, np.full(len(points), 1 / len(points))
+
+        monkeypatch.setattr(oracle, "_random_support", support)
+        return drawn
+
+    def test_every_start_empties_a_region(self, monkeypatch):
+        # equal points go to the first anchor, so the other two regions stay empty
+        self.use_support(monkeypatch, np.ones((20, 2)))
+        with pytest.raises(RuntimeError, match="did not stabilize"):
+            nearest_mean_instance(0)
+
+    def test_a_start_that_empties_a_region_restarts(self, monkeypatch):
+        # two anchors at the origin tie, and the second one's region stays empty
+        points = np.vstack([np.zeros((17, 2)), [[3.0, 0.0], [0.0, 3.0], [-3.0, -3.0]]])
+        drawn = self.use_support(monkeypatch, points)
+        joint, part = nearest_mean_instance(29)
+        one_start = np.random.default_rng(29)
+        one_start.choice(20, size=3, replace=False)
+        one_start.dirichlet(np.ones(3), size=20)
+        assert drawn[0].bit_generator.state != one_start.bit_generator.state
+        assert np.array_equal(joint.points, points)
+        assert check_indicator_error(joint, part).hypothesis_ok
 
 
 def per_class_max_error(joint, part):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import dte.pipeline
-from dte import (DteClassifier, Embedding, LdaModel, TreeConfig, cross_validate,
-                 discriminant_scores, fit, fit_lda, fit_tree, from_arrays, load_csv, predict,
-                 predict_lda, project, timing_sweep)
+from dte import (DteClassifier, Embedding, LdaModel, TreeConfig, cross_validate, fit,
+                 fit_lda, fit_tree, from_arrays, load_csv, predict, predict_lda, project,
+                 timing_sweep)
 from dte import tree as tree_module
 from dte.cli import main as cli_main
 from dte.data import stratified_folds
@@ -110,7 +110,7 @@ class TestFitPredict:
         messages = []
         for read in (lambda X: clf.embedding.trees[0].apply(X),
                      lambda X: project(clf.embedding, X),
-                     lambda X: discriminant_scores(clf.lda, X)):
+                     lambda X: predict_lda(clf.lda, X)):
             with pytest.raises(ValueError) as exc:
                 read(X)
             messages.append(str(exc.value))

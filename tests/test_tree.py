@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -38,6 +39,23 @@ def exhaustive_best_decrease(x, y):
         dec = parent - (i / n) * gini(left) - ((n - i) / n) * gini(right)
         best = max(best, dec)
     return best
+
+
+@pytest.fixture(scope="module")
+def deep_tree():
+    """x = i over 2,000 rows with alternating labels and one bin per row: a chain of
+    depth 1,999, deeper than Python's default recursion limit of 1,000."""
+    x = np.arange(2000, dtype=np.float64)[:, None]
+    tree = fit_tree(from_arrays(x, np.arange(2000) % 2 + 1),
+                    TreeConfig(min_leaf_size=1, num_bins=2000))
+    depth, todo = 0, [0]   # the depths of the pre-order nodes still to read
+    for f in tree.to_dict()["feature"]:
+        d = todo.pop()
+        depth = max(depth, d)
+        if f >= 0:
+            todo += [d + 1, d + 1]
+    assert depth == 1999 > sys.getrecursionlimit()
+    return x, tree
 
 
 class TestFitTree:
@@ -311,20 +329,13 @@ class TestSerialization:
         assert len(saved) == 1
         assert '"threshold": [0.0]' in saved.pop()
 
-    @pytest.fixture(scope="class")
-    def deep_tree(self):
-        """A depth-1538 tree, deeper than Python's default recursion limit of 1000."""
-        x = np.arange(4000, dtype=np.float64)[:, None]
-        return x, fit_tree(from_arrays(x, np.arange(4000) % 2 + 1),
-                           TreeConfig(min_leaf_size=1, num_bins=1000))
-
-    def test_deep_tree_round_trips(self, deep_tree):
+    def test_depth_1999_tree_round_trips(self, deep_tree):
         x, tree = deep_tree
         again = DecisionTree.from_dict(json.loads(json.dumps(tree.to_dict())))
         assert again.to_dict() == tree.to_dict()
         assert np.array_equal(again.apply(x), tree.apply(x))
 
-    def test_deep_tree_repr_and_equality_do_not_recurse(self, deep_tree):
+    def test_depth_1999_tree_repr_and_equality_do_not_recurse(self, deep_tree):
         _, tree = deep_tree
         assert repr(tree).startswith("DecisionTree(")
         assert tree == tree and tree != DecisionTree.from_dict(tree.to_dict())  # identity
@@ -675,8 +686,6 @@ class TestTreeListsReference:
             at_thresholds = rng.choice(thresholds, size=(50, X.shape[1]))  # x == threshold goes right
             self.assert_matches_reference(tree, np.vstack([X[s], at_thresholds]))
 
-    def test_depth_1538_tree_routes_as_the_reference(self):
-        x = np.arange(4000, dtype=np.float64)[:, None]
-        tree = fit_tree(from_arrays(x, np.arange(4000) % 2 + 1),
-                        TreeConfig(min_leaf_size=1, num_bins=1000))
+    def test_depth_1999_tree_routes_as_the_reference(self, deep_tree):
+        x, tree = deep_tree
         self.assert_matches_reference(tree, np.vstack([x, x + 0.5, x - 0.5]))
