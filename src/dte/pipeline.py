@@ -47,18 +47,16 @@ def fit(ds_train: Dataset, cfg: TreeConfig = TreeConfig(), t: int = 1, seed=0) -
 
 
 def _anchor_span_lda(emb: Embedding, X: np.ndarray, y: np.ndarray) -> LdaModel:
-    """The LDA rule on x that pseudoinverse LDA on Z = X W^T + b amounts to
-    when the pooled within-class covariance on the anchor span is invertible.
+    """The LDA rule on x that pseudoinverse LDA on Z = X W^T + b amounts to.
 
     With W = U Sigma V^T and S the pooled within-class covariance of x, that
-    covariance is C = V^T S V. When C is invertible, LDA on Z equals LDA on x
-    restricted to span(W), and Z is never formed. When C is singular, the rule
-    fitted here is V C^+ V^T, which can disagree with pseudoinverse LDA on Z.
-    It is fitted on X Q, for Q an orthonormal basis of the anchor span (SVD of
-    W, numpy's rank tolerance), and its means and pseudoinverse are lifted
-    back to x. Directions outside the span keep a zero column of Q, so
-    all-zero anchors leave a zero covariance and the rule falls back to the
-    priors.
+    LDA equals LDA on x restricted to span(W) when C = V^T S V is invertible;
+    when C is singular, the rule fitted here, V C^+ V^T, can disagree with it.
+    Z is never formed: the rule is fitted on X Q, for Q an orthonormal basis of
+    the anchor span (SVD of W, numpy's rank tolerance), and its means and
+    pseudoinverse are lifted back to x. Directions outside the span keep a
+    zero column of Q, so all-zero anchors leave a zero covariance and the
+    rule falls back to the priors.
     """
     _, sv, vt = np.linalg.svd(emb.anchors, full_matrices=False)
     q = vt.T * (sv > sv[0] * max(emb.anchors.shape) * np.finfo(np.float64).eps)

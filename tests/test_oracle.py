@@ -189,6 +189,7 @@ class TestNearestMeanInstance:
         one_start = np.random.default_rng(29)
         one_start.choice(20, size=3, replace=False)
         one_start.dirichlet(np.ones(3), size=20)
+        # the instance's generator drew past one start's anchors and the conditionals
         assert drawn[0].bit_generator.state != one_start.bit_generator.state
         assert np.array_equal(joint.points, points)
         assert check_indicator_error(joint, part).hypothesis_ok
