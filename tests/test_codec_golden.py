@@ -4,11 +4,14 @@ Each case pins three SHA-256 digests of the loaded Dataset: of
 ``features.tobytes()``, of ``labels.tobytes()``, and of ``json.dumps`` of the
 schema, the label names and the label column. The cases are the bundled CSVs
 and a corpus of edge cases written here: categorical columns, a quoted
-category holding a comma, ``1_000``, padded numbers, ``-0.0``, Unicode digits
-numeric labels and headerless files. ``LOAD_ERRORS`` pins the exact message
-of each rejected file. The pins were taken from the per-cell loader the
-columnar codec replaced. Regenerate them only for a deliberate change of the
-format:
+category holding a comma, ``1_000``, padded numbers, ``-0.0``, Unicode digits,
+numeric labels, headerless files, a column numeric until a late category and
+numeric columns on both sides of a categorical one. ``LOAD_ERRORS`` pins the
+exact message of each rejected file, and ``FEATURE_ERRORS`` that of each file
+``load_features`` rejects, faults late in the file among them. The first pins
+were taken from the per-cell loader the columnar codec replaced; the late-fault
+cases and the last two corpus cases from the per-column parse that preceded the
+row-major one. Regenerate them only for a deliberate change of the format:
 
     PYTHONPATH=src python tests/test_codec_golden.py
 
@@ -51,6 +54,9 @@ CORPUS = {
     "numeric-labels": ("x,y\n0.5,1\n1.5,2.0\n2.5,1\n3.5,10\n", "y", True),
     "headerless": ("1.0,u,a\n2.0,v,b\n3.5,u,a\n", 2, False),
     "headerless-label-first": ("a,1,2\nb,3,4\na,5,6\n", 0, False),
+    "late-category": ("x,c,y\n1,2,a\n2,3,b\n3,4,a\n4,red,b\n5,6,a\n", "y", True),
+    "numeric-around-categorical": ("a,c,b,y\n1.5,red,-2,p\n2,blue,0.25,q\n"
+                                   "-3,red,4e2,p\n4,green,8,q\n", "y", True),
 }
 
 # name -> (file text, label column, has_header, message with the path as <path>)
@@ -86,8 +92,39 @@ LOAD_ERRORS = {
                  "<path>: line 2: non-finite value '1e999' in column 'x'"),
     "non-finite-two-columns": ("a,b,y\n1,-inf,p\nnan,2,q\n", "y", True,
                                "<path>: line 3: non-finite value 'nan' in column 'a'"),
+    "late-inf": ("x,y\n1,a\n2,b\n3,a\ninf,b\n", "y", True,
+                 "<path>: line 5: non-finite value 'inf' in column 'x'"),
+    "late-blank": ("x,w,y\n1,2,a\n3,4,b\n5,6,a\n7, ,b\n", "y", True,
+                   "<path>: line 5: missing value in column 'w'"),
+    "late-wrong-arity": ("x,w,y\n1,2,a\n3,4,b\n5,6,a\n7,8\n", "y", True,
+                         "<path>: line 5: expected 3 fields, got 2"),
     "field-over-size-limit": ("x,y\n1,a\n2," + "b" * 140_000 + "\n", "y", True,
                               "<path>: line 3: field larger than field limit (131072)"),
+}
+
+
+# name -> (file text, has_header, message with the path as <path>); each file is encoded
+# by ``load_features`` against the schema ``load_csv`` fits to CORPUS["categorical"]
+FEATURE_ERRORS = {
+    "late-non-numeric": ("num,color,size\n1.5,red,S\n2,blue,M\n3,green,L\nx,red,S\n", True,
+                         "<path>: line 5: non-numeric value 'x' in column 'num'"),
+    "late-unknown-category": ("num,color,size\n1.5,red,S\n2,blue,M\n3,green,L\n"
+                              "4,purple,S\n", True,
+                              "<path>: line 5: unknown category 'purple' in column 'color'"),
+    "late-inf": ("num,color,size\n1.5,red,S\n2,blue,M\n-inf,green,L\n", True,
+                 "<path>: line 4: non-finite value '-inf' in column 'num'"),
+    "late-blank": ("num,color,size\n1.5,red,S\n2,blue,M\n3,,L\n", True,
+                   "<path>: line 4: missing value in column 'color'"),
+    "late-wrong-arity": ("num,color,size\n1.5,red,S\n2,blue,M\n3,green\n", True,
+                         "<path>: line 4: expected 3 fields, got 2"),
+    "reordered-columns": ("size,num,color\nS,1.5,red\nM,2,blue\nL,3,green\nS,4,red\n"
+                          "XL,5,red\n", True,
+                          "<path>: line 6: unknown category 'XL' in column 'size'"),
+    "first-source-column-first": ("num,color,size\n1.5,red,S\n2,mauve,M\n3,green,L\n"
+                                  "?,red,S\n", True,
+                                  "<path>: line 5: non-numeric value '?' in column 'num'"),
+    "headerless-late-category": ("1.5,red,S\n2,blue,M\n3,green,XS\n", False,
+                                 "<path>: line 3: unknown category 'XS' in column 'size'"),
 }
 
 
@@ -122,6 +159,17 @@ def load_error(name) -> str:
         return str(info.value).replace(str(path), "<path>")
 
 
+def feature_error(name) -> str:
+    text, has_header, _ = FEATURE_ERRORS[name]
+    schema = _dataset("categorical").schema
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "features.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_features(path, schema, has_header)
+        return str(info.value).replace(str(path), "<path>")
+
+
 PINS = {
     "breast_cancer": ("6b202a2072f9a0385f405a8f8605b1b06f6f36ae6d23d9cd6cbbc0974a416bc7",
         "64b097f400369a029be86ed82870c2e84828430329a5d6feebd7efc50aaef19e",
@@ -144,6 +192,12 @@ PINS = {
     "label-in-middle": ("008279a294d24e98e9e02e62f6277eea1c9a2ea04140c62d940886b292e53c62",
         "ad237e0f45f30122574baddb1856a3d40ef7e57c3f737716d1c4625ef6f220c7",
         "6dab301e2b532bea1d2a70323d97b1907e3a4e8550c79873799c755a8f34aa2e"),  # 3x3
+    "late-category": ("48b4780f68ca3a30f544faa11e6f3b372e4dc0dd54c4e7e3bf17ee4423a49881",
+        "8189b4fbd24781d0747593e5cc2e3d844d7d75fae852dfc5b17fa344b226e97d",
+        "ea1d1fb3dabbdacac87b27b1fddd622c84b458a0364eebf281a7c407156c8d90"),  # 5x6
+    "numeric-around-categorical": ("450b3ddef08f2817d31c663fcfa79b562134a660768d4b4ae817dc6d505994fc",
+        "60cb1131bd82441237f153b62397d13966681fa269ce80e4fcedfffc7fd8dd92",
+        "d1e80a9fc352494673ef1aeb11e92387b2a47833aae92b5b2c8efd945df351c8"),  # 4x5
     "numeric-labels": ("982954a1c5a253c6d2d13289cb3f40aabfe7c7af476ccac76d78b50d20e31d74",
         "7a87bdb1cc8d6df4973f30cb6d3dd63eebedb51dd58396349b48ffa6148aa8fb",
         "b9fad8934e9c2e1b0c8595e07623b17e45caec727b6f33f9d1b4d3a86a30c37d"),  # 4x1
@@ -179,6 +233,11 @@ def test_load_matches_golden_digests(name):
 @pytest.mark.parametrize("name", sorted(LOAD_ERRORS))
 def test_load_error_message_is_pinned(name):
     assert load_error(name) == LOAD_ERRORS[name][3]
+
+
+@pytest.mark.parametrize("name", sorted(FEATURE_ERRORS))
+def test_feature_error_message_is_pinned(name):
+    assert feature_error(name) == FEATURE_ERRORS[name][2]
 
 
 @pytest.mark.parametrize("name", sorted([*BUNDLED, *CORPUS]))
