@@ -1,6 +1,7 @@
 """Dataset ingestion, the columnar CSV reader (``fit_schema`` and ``encode`` over a
-tuple of ``Column``), the checks of class ids (``class_sizes``), models' rows
-(``feature_rows``) and saved arrays (``json_numbers``), stratified folds and bootstraps."""
+tuple of ``Column``, numeric cells parsed row by row in ``_columns``), the checks of
+class ids (``class_sizes``), models' rows (``feature_rows``) and saved arrays
+(``json_numbers``), stratified folds and bootstraps."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+_CHUNK_ROWS = 1024   # rows per chunk of the row-major parse in ``_columns``
 
 
 class DataError(ValueError):
@@ -189,8 +192,12 @@ def _columns(path, names, cells, lengths, first_line: int, keep) -> list:
     """Split ``_read`` cells into columns, emptying ``cells`` so that numeric cells are freed.
 
     A column is an array of its values when every cell is a finite number and its
-    index is not in ``keep``, else its list of cells. Rejects a repeated column
-    name, then the first row with a wrong field count or a blank cell.
+    index is not in ``keep``, else its list of cells. Columns not in ``keep`` whose
+    first cell parses are parsed in one row-major pass, a chunk of rows at a time;
+    if it rejects a cell, each column not in ``keep`` is parsed through its own slice
+    instead, up to its first rejected cell. Columns not parsed in full are scanned
+    for blank cells. Rejects a repeated column name, then the first row with a wrong
+    field count or a blank cell.
     """
     twins = [name for j, name in enumerate(names) if name in names[:j]]
     if twins:  # columns are told apart by name, in the schema and at predict time
@@ -198,15 +205,27 @@ def _columns(path, names, cells, lengths, first_line: int, keep) -> list:
     arity = len(names)
     wrong = np.flatnonzero(lengths != arity)
     end = int(wrong[0]) if wrong.size else len(lengths)
+    tried = [j not in keep and _parse(cells[j:j + 1])[1] == 1 for j in range(arity)]
+    parsed = {j: np.empty(end) for j in itertools.compress(range(arity), tried)}
+    try:  # in the order csv.reader made the cells, so that consecutive ones are near in memory
+        for a in range(0, end if parsed else 0, _CHUNK_ROWS):
+            b = min(a + _CHUNK_ROWS, end)
+            chunk = np.fromiter(map(float, itertools.compress(cells[a * arity:b * arity],
+                                itertools.cycle(tried))), np.float64, (b - a) * len(parsed))
+            for i, values in enumerate(parsed.values()):
+                values[a:b] = chunk[i::len(parsed)]
+    except ValueError:  # column by column instead, each up to its first rejected cell
+        parsed = {j: _parse(cells[j:end * arity:arity]) for j in set(range(arity)) - keep}
+        parsed = {j: values for j, (values, count) in parsed.items() if count == end}
     columns, blank = [], (end, 0)
     for j in range(arity):
-        col = cells[j:end * arity:arity]
-        values, parsed = _parse(col)
-        if parsed < end:  # float() rejects blank cells, so only such a column can hold one
+        values = parsed.get(j)
+        finite = values is not None and np.isfinite(values).all()
+        col = values if finite else cells[j:end * arity:arity]
+        if values is None:  # float() rejects blank cells, so only such a column can hold one
             rows = np.flatnonzero(np.fromiter(map(operator.not_, map(str.strip, col)), bool, end))
             blank = min(blank, (int(rows[0]) if rows.size else end, j))
-        finite = parsed == end and j not in keep and np.isfinite(values).all()
-        columns.append(values if finite else col)
+        columns.append(col)
     cells.clear()
     if blank[0] < end:
         raise DataError(f"{path}: line {first_line + blank[0]}: missing value in column "
