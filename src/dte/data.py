@@ -193,11 +193,10 @@ def _columns(path, names, cells, lengths, first_line: int, keep) -> list:
 
     A column is an array of its values when every cell is a finite number and its
     index is not in ``keep``, else its list of cells. Columns not in ``keep`` whose
-    first cell parses are parsed in one row-major pass, a chunk of rows at a time;
-    if it rejects a cell, each column not in ``keep`` is parsed through its own slice
-    instead, up to its first rejected cell. Columns not parsed in full are scanned
-    for blank cells. Rejects a repeated column name, then the first row with a wrong
-    field count or a blank cell.
+    first cell parses are parsed in one row-major pass, a chunk of rows at a time; a
+    column that rejects a cell of a chunk leaves the pass there, and the others parse
+    that chunk again. Columns not parsed in full are scanned for blank cells. Rejects
+    a repeated column name, then the first row with a wrong field count or a blank cell.
     """
     twins = [name for j, name in enumerate(names) if name in names[:j]]
     if twins:  # columns are told apart by name, in the schema and at predict time
@@ -205,18 +204,20 @@ def _columns(path, names, cells, lengths, first_line: int, keep) -> list:
     arity = len(names)
     wrong = np.flatnonzero(lengths != arity)
     end = int(wrong[0]) if wrong.size else len(lengths)
-    tried = [j not in keep and _parse(cells[j:j + 1])[1] == 1 for j in range(arity)]
-    parsed = {j: np.empty(end) for j in itertools.compress(range(arity), tried)}
-    try:  # in the order csv.reader made the cells, so that consecutive ones are near in memory
-        for a in range(0, end if parsed else 0, _CHUNK_ROWS):
-            b = min(a + _CHUNK_ROWS, end)
-            chunk = np.fromiter(map(float, itertools.compress(cells[a * arity:b * arity],
-                                itertools.cycle(tried))), np.float64, (b - a) * len(parsed))
-            for i, values in enumerate(parsed.values()):
-                values[a:b] = chunk[i::len(parsed)]
-    except ValueError:  # column by column instead, each up to its first rejected cell
-        parsed = {j: _parse(cells[j:end * arity:arity]) for j in set(range(arity)) - keep}
-        parsed = {j: values for j, (values, count) in parsed.items() if count == end}
+    parsed = {j: np.empty(end) for j in range(arity) if j not in keep and _parse(cells[j:j + 1])[1]}
+    a = 0
+    while a < end and parsed:  # in the order csv.reader made the cells, which are near in memory
+        b = min(a + _CHUNK_ROWS, end)
+        part, tried = cells[a * arity:b * arity], [j in parsed for j in range(arity)]
+        try:
+            chunk = np.fromiter(map(float, itertools.compress(part, itertools.cycle(tried))),
+                                np.float64, (b - a) * len(parsed))
+        except ValueError:  # drop the columns that reject a cell here, then parse these rows again
+            parsed = {j: v for j, v in parsed.items() if _parse(part[j::arity])[1] == b - a}
+            continue
+        for i, values in enumerate(parsed.values()):
+            values[a:b] = chunk[i::len(parsed)]
+        a = b
     columns, blank = [], (end, 0)
     for j in range(arity):
         values = parsed.get(j)
